@@ -1,8 +1,7 @@
 """Scaling of the parallel execution engine (docs/parallelism.md).
 
-Measures the two pooled pipeline stages — the functional profiling pass
-and the cycle-accurate simulation of a plan's representatives — at 1, 2
-and 4 workers on a >=512-frame trace, and records the speedups in
+Measures the pooled pipeline stage — the functional profiling pass — at
+1, 2 and 4 workers on a >=512-frame trace, and records the speedups in
 ``benchmarks/reports/parallel_scaling.txt``.
 
 The >=2x-at-4-workers claim is asserted only when the host actually has
@@ -14,14 +13,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.sampler import MEGsim
 from repro.obs import span
-from repro.parallel import (
-    ParallelConfig,
-    available_cpus,
-    profile_parallel,
-    simulate_representatives,
-)
+from repro.parallel import ParallelConfig, available_cpus, profile_parallel
 from repro.workloads.benchmarks import make_benchmark
 
 #: Worker counts measured (1 is the serial reference).
@@ -37,11 +30,6 @@ def trace():
     workload = make_benchmark("hcr", scale=0.26)
     assert workload.frame_count >= 512
     return workload
-
-
-@pytest.fixture(scope="module")
-def plan(trace):
-    return MEGsim().plan_from_profile(profile_parallel(trace))
 
 
 def _best_seconds(fn) -> float:
@@ -65,7 +53,7 @@ def _scaling_table(stage: str, timings: dict[int, float]) -> list[str]:
     return lines
 
 
-def test_parallel_scaling(trace, plan, report_sink):
+def test_parallel_scaling(trace, report_sink):
     cpus = available_cpus()
     profile_times = {
         jobs: _best_seconds(
@@ -75,30 +63,17 @@ def test_parallel_scaling(trace, plan, report_sink):
         )
         for jobs in WORKER_COUNTS
     }
-    simulate_times = {
-        jobs: _best_seconds(
-            lambda jobs=jobs: simulate_representatives(
-                trace,
-                plan.representative_frames,
-                parallel=ParallelConfig(jobs=jobs),
-            )
-        )
-        for jobs in WORKER_COUNTS
-    }
 
     lines = [
         "Parallel scaling (docs/parallelism.md)",
         f"trace: {trace.name}, {trace.frame_count} frames; "
-        f"{plan.selected_frame_count} representatives; "
         f"{cpus} CPU(s) available; best of {ROUNDS} rounds",
         "",
     ]
     lines += _scaling_table("functional profile", profile_times)
-    lines += _scaling_table("representative simulation", simulate_times)
     report_sink("parallel_scaling", "\n".join(lines))
 
-    # Sanity either way: the pooled paths completed and were timed.
+    # Sanity either way: the pooled path completed and was timed.
     assert all(seconds > 0 for seconds in profile_times.values())
-    assert all(seconds > 0 for seconds in simulate_times.values())
     if cpus >= 4:
         assert profile_times[1] / profile_times[4] >= 2.0

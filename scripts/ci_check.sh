@@ -35,19 +35,21 @@ MEGSIM_JOBS=auto python -m pytest -x -q tests/test_parallel/test_determinism.py
 # benchmark suite and compare against the checked-in baseline.  Wall
 # time is enforced only on a platform matching the baseline's; accuracy
 # and work counters are enforced everywhere.  The generous threshold
-# absorbs shared-runner noise.
+# absorbs shared-runner noise.  It runs once: there is one cycle-sim
+# engine, and the suite's parity spec checks it against the scalar
+# reference oracle bit for bit.
 echo "== bench smoke regression gate =="
 GATE_TMP="$(mktemp -d)"
 trap 'rm -rf "$GATE_TMP"' EXIT
 python -m repro bench --suite smoke --scale 0.05 \
     --compare benchmarks/baselines/smoke.json --threshold 2.0 \
-    --out "$GATE_TMP/smoke-scalar.json"
+    --out "$GATE_TMP/smoke.json"
 
 # The warm-started cluster sweep must hold its budget: one full-dataset
 # k-means per explored k, and no more exploration than 1/3 of what the
 # pre-warm-start search spent (465 runs at this scale).  A regression
 # here would silently re-inflate every pipeline run's clustering cost.
-python - "$GATE_TMP/smoke-scalar.json" <<'EOF'
+python - "$GATE_TMP/smoke.json" <<'EOF'
 import json
 import sys
 
@@ -65,15 +67,6 @@ assert runs * 3 <= 465, (
 )
 print(f"cluster search budget: OK ({runs} runs, {465 / runs:.2f}x reduction)")
 EOF
-
-# The same regression gate under the vector cycle-sim backend: identical
-# accuracy and counters are expected (the parity spec inside the suite
-# already proves FrameStats bit-identity per benchmark), so any drift is
-# a backend bug, not noise.
-echo "== bench smoke regression gate (vector backend) =="
-python -m repro bench --suite smoke --scale 0.05 --backend vector \
-    --compare benchmarks/baselines/smoke.json --threshold 2.0 \
-    --out "$GATE_TMP/smoke-vector.json"
 
 # The artifact-store contract (docs/pipeline.md): two identical warm
 # runs sharing one fresh MEGSIM_STORE must produce byte-identical
@@ -104,8 +97,8 @@ for name in second["benchmarks"]:
         a, b = (json.dumps(r[section], sort_keys=True) for r in (cold, warm))
         assert a == b, f"{name}.results.{section} differs between warm runs"
     if name == "parity":
-        # The parity spec is a differential test of the two cycle-sim
-        # backends, not a store-backed evaluation: it must actually
+        # The parity spec is a differential test of the cycle-sim engine
+        # against its scalar reference, not a store-backed evaluation: it must actually
         # simulate on every run, so the zero-work assertions below do
         # not apply (its byte-identity across warm runs is asserted
         # above like everything else).
@@ -195,8 +188,7 @@ EOF
 echo "== report determinism gate =="
 REPORT_BENCH="$SERVICE_TMP/bench"
 mkdir -p "$REPORT_BENCH"
-cp "$GATE_TMP/smoke-scalar.json" "$REPORT_BENCH/BENCH_smoke-scalar.json"
-cp "$GATE_TMP/smoke-vector.json" "$REPORT_BENCH/BENCH_smoke-vector.json"
+cp "$GATE_TMP/smoke.json" "$REPORT_BENCH/BENCH_smoke.json"
 MEGSIM_DB="$SERVICE_DB" python -m repro report \
     --bench-dir "$REPORT_BENCH" --out "$SERVICE_TMP/report1.html"
 MEGSIM_DB="$SERVICE_DB" python -m repro report \

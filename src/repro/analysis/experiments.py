@@ -553,21 +553,21 @@ def adversarial(
 
 
 # ----------------------------------------------------------------------
-# Backend parity: the vector cycle-sim backend vs the scalar oracle.
+# Engine parity: the cycle-sim engine vs the scalar reference oracle.
 # ----------------------------------------------------------------------
 
 def backend_compare(scale: float = 1.0, max_frames: int = 16) -> ExperimentResult:
-    """Vector-vs-scalar backend check over every benchmark.
+    """Engine-vs-reference parity check over every benchmark.
 
-    Runs both cycle-simulation backends on a deterministic frame sample
-    of each benchmark trace and verifies bit-identical
-    :class:`~repro.gpu.stats.FrameStats`, recording the measured
-    wall-clock speedup alongside (timing only — never gated across
-    machines).
+    Runs the cycle-simulation engine and the scalar reference loop on a
+    deterministic frame sample of each benchmark trace and verifies
+    bit-identical :class:`~repro.gpu.stats.FrameStats`, recording the
+    measured wall-clock speedup alongside (timing only — never gated
+    across machines).
 
     Raises:
         AnalysisError: listing every mismatching field when any
-            benchmark breaks parity — a broken vector backend must fail
+            benchmark breaks parity — a broken engine must fail
             loudly, not average out.
     """
     from repro.gpu.parity import check_backend_parity
@@ -596,14 +596,14 @@ def backend_compare(scale: float = 1.0, max_frames: int = 16) -> ExperimentResul
         ])
     if failures:
         raise AnalysisError(
-            "backend parity broken: " + "; ".join(failures[:10])
+            "engine parity broken: " + "; ".join(failures[:10])
         )
     report_text = render_table(
-        ["bench", "frames", "bit-identical", "vector speedup"],
+        ["bench", "frames", "bit-identical", "engine speedup"],
         rows,
         title=(
-            f"Backend parity (scale={scale}): vector vs scalar "
-            f"cycle simulation, {max_frames}-frame deterministic sample"
+            f"Engine parity (scale={scale}): cycle-sim engine vs scalar "
+            f"reference, {max_frames}-frame deterministic sample"
         ),
     )
     data["all_identical"] = True

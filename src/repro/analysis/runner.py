@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.analysis.metrics import relative_error
 from repro.core.sampler import MEGsimOptions, SamplingPlan
-from repro.gpu.config import CycleConfig, GPUConfig
+from repro.gpu.config import GPUConfig
 from repro.gpu.cycle_sim import SequenceResult
 from repro.gpu.functional_sim import SequenceProfile
 from repro.gpu.stats import FrameStats, KEY_METRICS
@@ -119,7 +119,6 @@ def evaluate_benchmark(
     options: MEGsimOptions | None = None,
     use_cache: bool = True,
     config: GPUConfig | None = None,
-    cycle: CycleConfig | None = None,
 ) -> BenchmarkEvaluation:
     """Run (or fetch from the store) the end-to-end evaluation of a benchmark.
 
@@ -133,12 +132,9 @@ def evaluate_benchmark(
         config: GPU configuration; ``None`` uses the Table I baseline
             (pass a modified one for design-space or rendering-mode
             studies).
-        cycle: cycle-simulation execution backend; ``None`` follows the
-            ambient default (the CLI's ``--backend`` scope, scalar
-            otherwise).
     """
     request = PipelineRequest.create(
-        alias, scale=scale, options=options, config=config, cycle=cycle
+        alias, scale=scale, options=options, config=config
     )
     store = get_store() if use_cache else None
     fingerprints = stage_fingerprints(request)

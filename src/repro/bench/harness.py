@@ -37,7 +37,6 @@ from repro.bench.registry import BENCHES, bench_names
 from repro.benchmark_support import suite_scale
 from repro.core.sampler import MEGsimOptions
 from repro.errors import ConfigError
-from repro.gpu.config import CYCLE_BACKENDS, cycle_scope
 from repro.obs import (
     MetricsRegistry,
     RunManifest,
@@ -102,16 +101,14 @@ def _run_spec(name: str) -> dict:
     spec = BENCHES[name]
     scale = float(get_state("scale"))
     warm = bool(get_state("warm"))
-    backend = get_state("backend")
     # Cold, private store per spec by default: the section below must
     # not depend on which specs this process happened to run earlier,
     # nor on what a previous session left in MEGSIM_STORE.  Warm runs
     # deliberately share the persistent store instead.
     store = get_store() if warm else memory_store()
     with store_scope(store):
-        with cycle_scope(backend):
-            with span(f"bench.{name}", benchmark=name, scale=scale) as timing:
-                _, outcome = spec.run(scale)
+        with span(f"bench.{name}", benchmark=name, scale=scale) as timing:
+            _, outcome = spec.run(scale)
 
     local = MetricsRegistry()
     metrics: dict[str, dict] = {}
@@ -155,7 +152,6 @@ def run_suite(
     names: list[str] | None = None,
     jobs_requested: int | str | None = None,
     warm: bool = False,
-    backend: str | None = None,
 ) -> dict:
     """Run a benchmark suite and return the artifact dictionary.
 
@@ -170,10 +166,6 @@ def run_suite(
         warm: share the process-wide artifact store across specs (the
             CLI's ``--warm``) instead of giving each spec a cold,
             private one; see the module docstring for the trade-off.
-        backend: cycle-simulation backend for every spec (the CLI's
-            ``--backend``); threaded through the worker state so pool
-            workers see it too.  ``None`` keeps each worker's ambient
-            default (scalar).
 
     Returns:
         The artifact as a plain dictionary (see the module docstring for
@@ -189,11 +181,6 @@ def run_suite(
                 f"unknown benchmark {name!r}; available: "
                 f"{', '.join(BENCHES)}"
             )
-    if backend is not None and backend not in CYCLE_BACKENDS:
-        raise ConfigError(
-            f"unknown backend {backend!r}; available: "
-            f"{', '.join(CYCLE_BACKENDS)}"
-        )
     resolved_scale = suite_scale(suite, scale)
     config = parallel if parallel is not None else ParallelConfig()
     manifest = RunManifest.begin(
@@ -205,7 +192,6 @@ def run_suite(
             "suite": suite,
             "benchmarks": list(selected),
             "warm": warm,
-            "backend": backend,
         },
     )
     manifest.record_jobs(jobs_requested, config.jobs)
@@ -222,7 +208,7 @@ def run_suite(
                 _run_spec,
                 selected,
                 parallel=config,
-                state={"scale": resolved_scale, "warm": warm, "backend": backend},
+                state={"scale": resolved_scale, "warm": warm},
             )
         manifest.finish(collector)
         registry = {

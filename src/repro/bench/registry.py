@@ -292,7 +292,7 @@ BENCHES: dict[str, BenchSpec] = {
         BenchSpec(
             name="parity", experiment="backend_compare",
             suites=("smoke", "full"),
-            description="Vector vs scalar cycle-sim backend, bit for bit",
+            description="Cycle-sim engine vs scalar reference, bit for bit",
             extract=_extract_backend_compare,
         ),
     )

@@ -74,7 +74,6 @@ from repro.parallel import (
     resolve_jobs,
 )
 from repro.benchmark_support import SUITE_SCALES, suite_scale
-from repro.gpu.config import CYCLE_BACKENDS, cycle_scope
 from repro.store import get_store, memory_store, store_scope
 from repro.workloads.benchmarks import benchmark_aliases, make_benchmark
 from repro.workloads.registry import (
@@ -120,15 +119,6 @@ def _add_store(parser: argparse.ArgumentParser) -> None:
         "--no-store", dest="no_store", action="store_true",
         help="run against a throwaway in-memory artifact store: nothing "
              "is read from or written to MEGSIM_STORE (docs/pipeline.md)",
-    )
-
-
-def _add_backend(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--backend", choices=CYCLE_BACKENDS, default=None,
-        help="cycle-simulation backend: 'scalar' is the reference event "
-             "loop, 'vector' the batched bit-identical lowering "
-             "(docs/simulation-backends.md); defaults to scalar",
     )
 
 
@@ -181,14 +171,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_workload(run, "evaluate this workload instead of the "
                        "experiment's default (fig5/fig6 only)")
     _add_store(run)
-    _add_backend(run)
     _add_obs(run)
 
     everything = commands.add_parser("all", help="run every experiment")
     _add_scale(everything)
     _add_jobs(everything)
     _add_store(everything)
-    _add_backend(everything)
     _add_obs(everything)
 
     plan = commands.add_parser("plan", help="show a workload's sampling plan")
@@ -211,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scale(inspect)
     _add_workload(inspect, "workload to inspect")
     _add_store(inspect)
-    _add_backend(inspect)
     _add_obs(inspect)
 
     workloads = commands.add_parser(
@@ -284,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "specs instead of running each one cold; "
                             "measures the incremental cost of a suite "
                             "over a populated MEGSIM_STORE")
-    _add_backend(bench)
     _add_jobs(bench)
     _add_store(bench)
     _add_obs(bench)
@@ -504,16 +490,12 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     ``--no-store`` swaps in a throwaway in-memory artifact store for the
     duration of the command, so nothing touches ``MEGSIM_STORE``.
-    ``--backend`` installs the chosen cycle-simulation backend as the
-    ambient default, which every :class:`PipelineRequest` created under
-    the command picks up (``cycle_scope(None)`` is a no-op).
     """
     _validate_scale(args)
-    with cycle_scope(getattr(args, "backend", None)):
-        if getattr(args, "no_store", False):
-            with store_scope(memory_store()):
-                return _run_command(args)
-        return _run_command(args)
+    if getattr(args, "no_store", False):
+        with store_scope(memory_store()):
+            return _run_command(args)
+    return _run_command(args)
 
 
 def _validate_scale(args: argparse.Namespace) -> None:
@@ -895,7 +877,6 @@ def _bench(args: argparse.Namespace) -> int:
         parallel=ParallelConfig.from_cli(args.jobs),
         jobs_requested=args.jobs or os.environ.get(JOBS_ENV_VAR),
         warm=args.warm,
-        backend=args.backend,
     )
     out = args.out if args.out else artifact_name(args.suite)
     write_artifact(artifact, out)

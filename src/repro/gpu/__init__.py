@@ -17,12 +17,9 @@ paper).  It contains:
 from repro.gpu.config import (
     GPUConfig,
     CacheConfig,
-    CycleConfig,
     DRAMConfig,
     QueueConfig,
-    cycle_scope,
     default_config,
-    default_cycle_config,
 )
 from repro.gpu.cycle_sim import CycleAccurateSimulator, SequenceResult
 from repro.gpu.functional_sim import FrameProfile, FunctionalSimulator, SequenceProfile
@@ -32,12 +29,9 @@ from repro.gpu.stats import FrameStats
 __all__ = [
     "GPUConfig",
     "CacheConfig",
-    "CycleConfig",
     "DRAMConfig",
     "QueueConfig",
-    "cycle_scope",
     "default_config",
-    "default_cycle_config",
     "CycleAccurateSimulator",
     "SequenceResult",
     "FunctionalSimulator",

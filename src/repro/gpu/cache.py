@@ -2,11 +2,11 @@
 
 This is the precise cache model: a set-associative, LRU-replacement,
 write-back cache operating on individual line addresses.  It is exact but
-touches one Python object per access, so the full-sequence timing simulator
-uses the faster region-granular model in :mod:`repro.gpu.region_cache` by
-default; this model backs unit tests, small traces and the
-``cache_model="line"`` configuration switch, and serves as the ground truth
-the region model is validated against.
+touches one Python object per access, so the timing simulator uses the
+faster region-granular model in :mod:`repro.gpu.region_cache`; this model
+backs unit tests and the scalar reference's ``cache_model="line"`` mode
+(:func:`repro.gpu.parity.reference_simulate`), and serves as the ground
+truth the region model is validated against.
 """
 
 from __future__ import annotations

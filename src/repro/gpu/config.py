@@ -4,25 +4,13 @@
 GPU — an architecture resembling an Arm Mali-450: 600 MHz, 1440x720 screen,
 32x32-pixel tiles, 4 vertex + 4 fragment processors, the Table I cache
 hierarchy and a dual-channel LPDDR3-like main memory.
-
-:class:`CycleConfig` selects *how* the cycle model is executed — the
-scalar reference implementation or the batched vector backend
-(`docs/simulation-backends.md`) — without changing *what* it models:
-both backends produce bit-identical results for any :class:`GPUConfig`.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from repro.errors import ConfigError
-
-#: Execution backends of the cycle simulator.  "scalar" is the reference
-#: event loop; "vector" is the batched lowering that must stay
-#: bit-identical to it (guarded by ``repro.gpu.parity``).
-CYCLE_BACKENDS = ("scalar", "vector")
 
 #: Fixed per-frame overhead (command processing, state changes, scheduling).
 FRAME_OVERHEAD_CYCLES = 2000.0
@@ -233,66 +221,3 @@ def default_config() -> GPUConfig:
     """Return the paper's Table I baseline configuration."""
     return GPUConfig()
 
-
-@dataclass(frozen=True, slots=True)
-class CycleConfig:
-    """Execution strategy of the cycle-accurate simulator.
-
-    ``backend`` picks the implementation: ``"scalar"`` runs the
-    per-access reference event loop, ``"vector"`` runs the batched
-    lowering in :mod:`repro.gpu.vector`.  The two are bit-identical by
-    contract; the parity harness (:mod:`repro.gpu.parity`) and the CI
-    gate enforce it.  The choice is part of every pipeline stage
-    fingerprint, so the artifact store never conflates backends.
-    """
-
-    backend: str = "scalar"
-
-    def __post_init__(self) -> None:
-        if self.backend not in CYCLE_BACKENDS:
-            raise ConfigError(
-                f"backend must be one of {'/'.join(CYCLE_BACKENDS)}, "
-                f"got {self.backend!r}"
-            )
-
-
-_ACTIVE_CYCLE: CycleConfig | None = None
-
-
-def default_cycle_config() -> CycleConfig:
-    """Return the ambient :class:`CycleConfig`.
-
-    This is the value :meth:`repro.pipeline.request.PipelineRequest.create`
-    falls back to when the caller does not pass one explicitly — the
-    mechanism behind the CLI's ``--backend`` flag.  Outside any
-    :func:`cycle_scope` it is the scalar reference backend.
-    """
-    if _ACTIVE_CYCLE is None:
-        return CycleConfig()
-    return _ACTIVE_CYCLE
-
-
-def set_cycle_config(cycle: CycleConfig | None) -> None:
-    """Install ``cycle`` as the ambient default (``None`` resets it)."""
-    global _ACTIVE_CYCLE
-    _ACTIVE_CYCLE = cycle
-
-
-@contextmanager
-def cycle_scope(cycle: CycleConfig | str | None) -> Iterator[CycleConfig]:
-    """Temporarily make ``cycle`` the ambient :class:`CycleConfig`.
-
-    Accepts a backend name as shorthand (``cycle_scope("vector")``);
-    ``None`` leaves the current ambient default in place, so callers can
-    thread an optional override without branching.
-    """
-    global _ACTIVE_CYCLE
-    if isinstance(cycle, str):
-        cycle = CycleConfig(backend=cycle)
-    previous = _ACTIVE_CYCLE
-    if cycle is not None:
-        _ACTIVE_CYCLE = cycle
-    try:
-        yield default_cycle_config()
-    finally:
-        _ACTIVE_CYCLE = previous

@@ -14,30 +14,23 @@ binning has finished, so::
 
 bounded from below by the DRAM bus occupancy the frame generated (a
 bandwidth-saturated frame cannot finish before its memory traffic drains).
+
+The model executes through the batched engine in :mod:`repro.gpu.vector`;
+:mod:`repro.gpu.parity` keeps the per-access scalar event loop as the
+reference the engine must match bit for bit
+(``docs/simulation-backends.md``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import SimulationError
 from repro.obs import counter, gauge, get_collector, observe, span
-from repro.gpu.cache import CacheStats
-from repro.gpu.config import (
-    FRAME_OVERHEAD_CYCLES,
-    CycleConfig,
-    GPUConfig,
-    default_config,
-)
-from repro.gpu.dram import DRAMStats
-from repro.gpu.geometry import simulate_geometry
-from repro.gpu.hierarchy import MemorySystem
+from repro.gpu.config import GPUConfig, default_config
 from repro.gpu.power import EnergyParams, PowerModel
-from repro.gpu.raster import simulate_raster
 from repro.gpu.stats import FrameStats
-from repro.gpu.tiling import simulate_tiling
-from repro.gpu.workmodel import compute_frame_work
-from repro.scene.frame import Frame
+from repro.gpu.vector import simulate_schedule
 from repro.scene.trace import WorkloadTrace
 
 @dataclass(frozen=True)
@@ -124,6 +117,55 @@ class SequenceResult:
                 )
 
 
+def build_schedule(
+    trace: WorkloadTrace,
+    frame_ids: list[int] | None = None,
+    warmup_frames: int = 0,
+) -> tuple[list[int], list[tuple[int, bool]]]:
+    """Validate a frame selection and lay out its execution schedule.
+
+    Returns the selected frame ids (deduplicated, ascending) and the
+    ``(frame id, keep)`` pairs to execute in order: each selected frame
+    is preceded by up to ``warmup_frames`` warmup frames (``keep`` is
+    false) that never re-run an already-scheduled frame.  ``frame_ids``
+    of ``None`` selects the whole sequence without warmup.
+
+    Raises:
+        SimulationError: on a negative warmup, an explicitly empty
+            selection or an out-of-range frame id.
+    """
+    if warmup_frames < 0:
+        raise SimulationError(
+            f"warmup_frames must be >= 0, got {warmup_frames}"
+        )
+    if frame_ids is None:
+        selected = list(range(trace.frame_count))
+        warmup_frames = 0
+    else:
+        # Dedup before sorting: a repeated id would otherwise simulate
+        # the same frame twice and double-count it in the totals.
+        selected = sorted(set(frame_ids))
+        if not selected:
+            raise SimulationError(
+                f"empty frame selection for trace {trace.name!r}: "
+                "pass frame_ids=None to simulate the full sequence"
+            )
+        for fid in selected:
+            if not 0 <= fid < trace.frame_count:
+                raise SimulationError(
+                    f"frame id {fid} outside trace of {trace.frame_count} frames"
+                )
+    schedule: list[tuple[int, bool]] = []
+    previous = -1
+    for fid in selected:
+        first_warm = max(fid - warmup_frames, previous + 1, 0)
+        for warm_id in range(first_warm, fid):
+            schedule.append((warm_id, False))
+        schedule.append((fid, True))
+        previous = fid
+    return selected, schedule
+
+
 class CycleAccurateSimulator:
     """The cycle-level TBR GPU model."""
 
@@ -131,29 +173,15 @@ class CycleAccurateSimulator:
         self,
         config: GPUConfig | None = None,
         energy_params: EnergyParams | None = None,
-        cache_model: str = "region",
-        cycle: CycleConfig | None = None,
     ) -> None:
         """Create a simulator.
 
         Args:
             config: GPU configuration; ``None`` uses the Table I baseline.
             energy_params: per-event energies; ``None`` uses the defaults.
-            cache_model: ``"region"`` (fast, default) or ``"line"``
-                (exact set-associative simulation, for validation runs).
-            cycle: execution strategy; ``None`` runs the scalar reference
-                backend.  The vector backend only models the region cache,
-                so it composes with ``cache_model="region"`` only.
         """
         self.config = config if config is not None else default_config()
         self.power_model = PowerModel(energy_params)
-        self.cache_model = cache_model
-        self.cycle = cycle if cycle is not None else CycleConfig()
-        if self.cycle.backend == "vector" and cache_model != "region":
-            raise SimulationError(
-                "the vector backend models the region cache only; use "
-                'cache_model="region" or the scalar backend'
-            )
 
     def simulate(
         self,
@@ -167,7 +195,8 @@ class CycleAccurateSimulator:
             trace: the workload to simulate.
             frame_ids: optional subset of frames to simulate (e.g. the
                 representatives MEGsim selected).  ``None`` simulates the
-                whole sequence.
+                whole sequence; ``[i]`` simulates frame ``i`` alone, from
+                cold caches.
             warmup_frames: when sampling a subset, simulate up to this many
                 frames *preceding* each selected frame first, discarding
                 their statistics.  This reconstructs an approximate
@@ -180,39 +209,7 @@ class CycleAccurateSimulator:
             Per-frame statistics plus wall-clock time, the quantity the
             paper's simulation-time speedup compares.
         """
-        if warmup_frames < 0:
-            raise SimulationError(
-                f"warmup_frames must be >= 0, got {warmup_frames}"
-            )
-        if frame_ids is None:
-            selected = list(range(trace.frame_count))
-            warmup_frames = 0
-        else:
-            # Dedup before sorting: a repeated id would otherwise simulate
-            # the same frame twice and double-count it in the totals.
-            selected = sorted(set(frame_ids))
-            if not selected:
-                raise SimulationError(
-                    f"empty frame selection for trace {trace.name!r}: "
-                    "pass frame_ids=None to simulate the full sequence"
-                )
-            for fid in selected:
-                if not 0 <= fid < trace.frame_count:
-                    raise SimulationError(
-                        f"frame id {fid} outside trace of {trace.frame_count} frames"
-                    )
-        # The warmup schedule is backend-independent: (frame id, keep)
-        # pairs in execution order, warmup frames interleaved before the
-        # selected frame they warm (never re-running an already-simulated
-        # frame).
-        schedule: list[tuple[int, bool]] = []
-        previous = -1
-        for fid in selected:
-            first_warm = max(fid - warmup_frames, previous + 1, 0)
-            for warm_id in range(first_warm, fid):
-                schedule.append((warm_id, False))
-            schedule.append((fid, True))
-            previous = fid
+        selected, schedule = build_schedule(trace, frame_ids, warmup_frames)
         textures = {t.texture_id: t for t in trace.textures}
         warmed = len(schedule) - len(selected)
         with span(
@@ -221,21 +218,9 @@ class CycleAccurateSimulator:
             frames=len(selected),
             warmup_frames=warmup_frames,
         ) as timing:
-            if self.cycle.backend == "vector":
-                from repro.gpu.vector import simulate_schedule
-
-                stats = simulate_schedule(
-                    trace, schedule, self.config, self.power_model, textures
-                )
-            else:
-                mem = MemorySystem(self.config, cache_model=self.cache_model)
-                stats = []
-                for fid, keep in schedule:
-                    frame_stats = self._simulate_frame(
-                        trace.frames[fid], textures, mem
-                    )
-                    if keep:
-                        stats.append(frame_stats)
+            stats = simulate_schedule(
+                trace, schedule, self.config, self.power_model, textures
+            )
             counter("cycle.frames_simulated", len(selected))
             if warmed:
                 counter("cycle.warmup_frames", warmed)
@@ -263,115 +248,3 @@ class CycleAccurateSimulator:
         gauge("cycle.dram_accesses", totals.dram_accesses)
         gauge("cycle.l2_accesses", totals.l2_accesses)
         gauge("cycle.tile_cache_accesses", totals.tile_cache_accesses)
-
-    def simulate_frame(self, frame: Frame, trace: WorkloadTrace) -> FrameStats:
-        """Simulate a single frame with cold caches (convenience API)."""
-        textures = {t.texture_id: t for t in trace.textures}
-        return self._simulate_frame(
-            frame, textures, MemorySystem(self.config, cache_model=self.cache_model)
-        )
-
-    def _simulate_frame(
-        self,
-        frame: Frame,
-        textures: dict,
-        mem: MemorySystem,
-    ) -> FrameStats:
-        before = _snapshot(mem)
-        # Per-frame phase attribution is rebuilt from scratch each frame.
-        mem.l2_accesses_by_phase = {p: 0 for p in mem.l2_accesses_by_phase}
-        mem.dram_lines_by_phase = {p: 0 for p in mem.dram_lines_by_phase}
-
-        work = compute_frame_work(frame, self.config)
-        geometry = simulate_geometry(work, self.config, mem)
-        tiling = simulate_tiling(work, self.config, mem)
-        raster = simulate_raster(work, self.config, mem, textures)
-
-        stats = FrameStats(
-            geometry_cycles=geometry.cycles,
-            tiling_cycles=tiling.cycles,
-            raster_cycles=raster.cycles,
-            stall_cycles=geometry.stall_cycles
-            + tiling.stall_cycles
-            + raster.stall_cycles,
-            vertex_instructions=geometry.vertex_instructions,
-            fragment_instructions=raster.fragment_instructions,
-            vertices_shaded=work.vertices_shaded,
-            primitives_submitted=work.primitives_submitted,
-            primitives_binned=work.primitives_binned,
-            prim_tile_pairs=work.prim_tile_pairs,
-            fragments_generated=work.fragments_generated,
-            fragments_shaded=work.fragments_shaded,
-        )
-        after = _snapshot(mem)
-        _fill_memory_deltas(stats, before, after)
-
-        if self.config.rendering_mode == "imr":
-            # No binning barrier: geometry streams straight into the
-            # rasterizer, so the phases fully overlap.
-            cycles = max(geometry.cycles, raster.cycles) + FRAME_OVERHEAD_CYCLES
-        else:
-            # TBR/TBDR: rasterization of a frame starts only once its
-            # polygon lists are complete; geometry and binning overlap.
-            cycles = (
-                max(geometry.cycles, tiling.cycles)
-                + raster.cycles
-                + FRAME_OVERHEAD_CYCLES
-            )
-        dram_busy = after["dram"].busy_cycles - before["dram"].busy_cycles
-        stats.cycles = max(cycles, float(dram_busy))
-
-        self.power_model.attribute_frame(stats, mem)
-        return stats
-
-
-def _copy_cache_stats(stats: CacheStats) -> CacheStats:
-    return CacheStats(
-        accesses=stats.accesses,
-        hits=stats.hits,
-        misses=stats.misses,
-        writebacks=stats.writebacks,
-    )
-
-
-def _snapshot(mem: MemorySystem) -> dict:
-    return {
-        "vertex": _copy_cache_stats(mem.vertex_cache.stats),
-        "texture": _copy_cache_stats(mem.texture_stats()),
-        "tile": _copy_cache_stats(mem.tile_cache.stats),
-        "l2": _copy_cache_stats(mem.l2.stats),
-        "color": _copy_cache_stats(mem.color_buffer),
-        "depth": _copy_cache_stats(mem.depth_buffer),
-        "dram": DRAMStats(
-            read_accesses=mem.dram.stats.read_accesses,
-            write_accesses=mem.dram.stats.write_accesses,
-            row_hits=mem.dram.stats.row_hits,
-            row_misses=mem.dram.stats.row_misses,
-            busy_cycles=mem.dram.stats.busy_cycles,
-        ),
-    }
-
-
-def _cache_delta(after: CacheStats, before: CacheStats) -> CacheStats:
-    return CacheStats(
-        accesses=after.accesses - before.accesses,
-        hits=after.hits - before.hits,
-        misses=after.misses - before.misses,
-        writebacks=after.writebacks - before.writebacks,
-    )
-
-
-def _fill_memory_deltas(stats: FrameStats, before: dict, after: dict) -> None:
-    stats.vertex_cache = _cache_delta(after["vertex"], before["vertex"])
-    stats.texture_cache = _cache_delta(after["texture"], before["texture"])
-    stats.tile_cache = _cache_delta(after["tile"], before["tile"])
-    stats.l2_cache = _cache_delta(after["l2"], before["l2"])
-    stats.color_buffer = _cache_delta(after["color"], before["color"])
-    stats.depth_buffer = _cache_delta(after["depth"], before["depth"])
-    stats.dram = DRAMStats(
-        read_accesses=after["dram"].read_accesses - before["dram"].read_accesses,
-        write_accesses=after["dram"].write_accesses - before["dram"].write_accesses,
-        row_hits=after["dram"].row_hits - before["dram"].row_hits,
-        row_misses=after["dram"].row_misses - before["dram"].row_misses,
-        busy_cycles=after["dram"].busy_cycles - before["dram"].busy_cycles,
-    )

@@ -5,8 +5,8 @@
 against the exact set-associative LRU model in :mod:`repro.gpu.cache`,
 enumerating the individual cache lines of each region.
 
-This is the validation/ablation path (``cache_model="line"`` on the
-simulator): bit-exact set-indexed behaviour including conflict misses, at
+This is the validation path (``cache_model="line"`` on the scalar
+reference, :func:`repro.gpu.parity.reference_simulate`): bit-exact set-indexed behaviour including conflict misses, at
 a per-line Python cost that limits it to short traces.  Region identities
 are mapped to disjoint synthetic address ranges so distinct resources
 never alias by construction (matching the region model's assumption).

@@ -1,14 +1,14 @@
-"""Batched ("vector") cycle-simulation backend.
+"""Batched ("vector") cycle-simulation engine.
 
-The scalar backend in :mod:`repro.gpu.cycle_sim` walks every draw call of
+The scalar reference in :mod:`repro.gpu.parity` walks every draw call of
 every frame through :class:`~repro.gpu.hierarchy.MemorySystem`, paying
-several Python calls and a result object per cache access — the profiled
-wall-time dominator of every evaluation.  This module executes the *same
-model* in three passes instead:
+several Python calls and a result object per cache access.  This module,
+the engine behind :class:`~repro.gpu.cycle_sim.CycleAccurateSimulator`,
+executes the *same model* in three passes instead:
 
 1. **Lower** — one pass over the frame schedule turns each frame's work
    (via :func:`~repro.gpu.workmodel.compute_frame_work`, shared with the
-   scalar backend) into columnar arrays of memory *ops*: interned region
+   scalar reference) into columnar arrays of memory *ops*: interned region
    keys, distinct-line counts, access totals, write flags, phase tags and
    queue depths, in exactly the order the scalar stage models would issue
    them.  Derived columns (effective access totals, over-capacity
@@ -20,15 +20,15 @@ model* in three passes instead:
    one replayed cache stands in for all of them (stats are scaled back at
    accounting time; their L2/DRAM side effects are replayed per processor,
    preserving order).  Stall cycles are accumulated per frame in issue
-   order, so floating-point addition order matches the scalar backend
+   order, so floating-point addition order matches the scalar reference
    exactly.
 3. **Accumulate** — per-frame statistics fall out of cumulative counter
    snapshots taken at frame boundaries, differenced with numpy — the
-   vectorized form of the scalar backend's snapshot/delta mechanism — and
+   vectorized form of the scalar reference's snapshot/delta mechanism — and
    each kept frame's :class:`~repro.gpu.stats.FrameStats` is finalized with
    the identical cycle-composition and energy-attribution expressions.
 
-The contract is **bit identity** with the scalar backend for every
+The contract is **bit identity** with the scalar reference for every
 configuration (rendering modes, warmup schedules, custom cache sizes);
 :mod:`repro.gpu.parity` and the CI gate enforce it.  See
 ``docs/simulation-backends.md``.
@@ -408,10 +408,10 @@ def simulate_schedule(
     power_model: PowerModel,
     textures: dict[int, Texture],
 ) -> list[FrameStats]:
-    """Simulate ``schedule`` with the vector backend.
+    """Simulate ``schedule`` with the batched engine.
 
-    ``schedule`` is the backend-independent list of ``(frame_id, keep)``
-    pairs built by :meth:`CycleAccurateSimulator.simulate`; statistics are
+    ``schedule`` is the list of ``(frame_id, keep)`` pairs built by
+    :func:`~repro.gpu.cycle_sim.build_schedule`; statistics are
     returned for kept frames only (warmup frames mutate cache state but
     are discarded), in schedule order.
     """

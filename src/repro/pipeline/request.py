@@ -3,24 +3,18 @@
 A :class:`PipelineRequest` pins down everything the six stages depend
 on: the workload (a registry key or replay capture, resolved to a
 :class:`~repro.workloads.base.WorkloadRef`), the sequence-length scale,
-the MEGsim knobs, the GPU configuration and the cycle-simulation
-execution backend.  ``None`` defaults are resolved at construction
-(:meth:`PipelineRequest.create`), so a request built with explicit
-paper defaults and one built with ``None`` fingerprint — and therefore
-cache — identically.
+the MEGsim knobs and the GPU configuration.  ``None`` defaults are
+resolved at construction (:meth:`PipelineRequest.create`), so a request
+built with explicit paper defaults and one built with ``None``
+fingerprint — and therefore cache — identically.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.sampler import MEGsimOptions
-from repro.gpu.config import (
-    CycleConfig,
-    GPUConfig,
-    default_config,
-    default_cycle_config,
-)
+from repro.gpu.config import GPUConfig, default_config
 from repro.workloads.base import WorkloadRef
 from repro.workloads.benchmarks import BENCHMARKS
 from repro.workloads.registry import get_workload
@@ -42,7 +36,6 @@ class PipelineRequest:
     scale: float
     options: MEGsimOptions
     config: GPUConfig
-    cycle: CycleConfig = field(default_factory=CycleConfig)
     workload: WorkloadRef | None = None
 
     @classmethod
@@ -52,7 +45,6 @@ class PipelineRequest:
         scale: float = 1.0,
         options: MEGsimOptions | None = None,
         config: GPUConfig | None = None,
-        cycle: CycleConfig | None = None,
         workload: WorkloadRef | None = None,
     ) -> "PipelineRequest":
         """Build a request, resolving ``None`` to the paper defaults.
@@ -64,12 +56,6 @@ class PipelineRequest:
         list, for unknown keys).  An explicit ``workload`` ref skips
         resolution — used when rebuilding a request from a serialized
         document whose capture may not be registered in this process.
-
-        ``cycle=None`` resolves through the *ambient* cycle config
-        (:func:`repro.gpu.config.default_cycle_config`), so a CLI-level
-        ``--backend`` scope reaches every request created under it; the
-        resolved value is pinned into the request — and its stage
-        fingerprints — here, keeping the stages themselves pure.
         """
         if workload is None and alias not in BENCHMARKS:
             workload = get_workload(alias).ref()
@@ -78,6 +64,5 @@ class PipelineRequest:
             scale=float(scale),
             options=options if options is not None else MEGsimOptions(),
             config=config if config is not None else default_config(),
-            cycle=cycle if cycle is not None else default_cycle_config(),
             workload=workload,
         )

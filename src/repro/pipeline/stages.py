@@ -96,9 +96,9 @@ def _compute_ground_truth(
     request: PipelineRequest, artifacts: dict
 ) -> SequenceResult:
     with span("evaluate.ground_truth", benchmark=request.alias):
-        return CycleAccurateSimulator(
-            request.config, cycle=request.cycle
-        ).simulate(artifacts["trace"])
+        return CycleAccurateSimulator(request.config).simulate(
+            artifacts["trace"]
+        )
 
 
 def _compute_representatives(
@@ -110,7 +110,7 @@ def _compute_representatives(
         benchmark=request.alias,
         frames=plan.selected_frame_count,
     ):
-        return CycleAccurateSimulator(request.config, cycle=request.cycle).simulate(
+        return CycleAccurateSimulator(request.config).simulate(
             artifacts["trace"], frame_ids=list(plan.representative_frames)
         )
 
@@ -165,10 +165,7 @@ STAGES: tuple[Stage, ...] = (
         version=1,
         requires=("trace",),
         persist=True,
-        # The backend is bit-identical by contract, but it is still an
-        # input: keying it keeps a broken backend from poisoning the
-        # other's cached artifacts.
-        params=lambda request: {"config": request.config, "cycle": request.cycle},
+        params=lambda request: {"config": request.config},
         compute=_compute_ground_truth,
         encode=lambda result: result.to_dict(),
         decode=SequenceResult.from_dict,
@@ -179,7 +176,7 @@ STAGES: tuple[Stage, ...] = (
         version=1,
         requires=("trace", "plan"),
         persist=True,
-        params=lambda request: {"config": request.config, "cycle": request.cycle},
+        params=lambda request: {"config": request.config},
         compute=_compute_representatives,
         encode=lambda result: result.to_dict(),
         decode=SequenceResult.from_dict,

@@ -99,9 +99,6 @@ def _artifact_summary(name: str, doc: dict) -> dict:
         "name": name,
         "suite": doc.get("suite"),
         "scale": doc.get("scale"),
-        # Artifacts written before the vector backend existed record no
-        # backend; they ran the scalar model.
-        "backend": config.get("backend") or "scalar",
         "warm": bool(config.get("warm", False)),
         "total_wall_seconds": float(doc.get("total_wall_seconds") or 0.0),
         "benchmarks": benchmarks,
@@ -152,7 +149,6 @@ def accuracy_speedup_points(artifacts: list[dict]) -> list[dict]:
         for alias in sorted(per_alias):
             points.append({
                 "artifact": artifact["name"],
-                "backend": artifact["backend"],
                 "alias": alias,
                 "speedup": float(per_alias[alias]),
                 "rel_error": float(mean_error),

@@ -20,8 +20,8 @@ from __future__ import annotations
 import html as _html
 from typing import Any
 
-#: Backend display order and bar colors (inline, no external palette).
-BACKEND_COLORS = {"scalar": "#4878a8", "vector": "#d9822b"}
+#: Bar and point color (inline, no external palette).
+BAR_COLOR = "#4878a8"
 
 _CSS = """
 body { font-family: -apple-system, 'Segoe UI', Roboto, sans-serif;
@@ -49,10 +49,6 @@ td.label, th.label { text-align: left; font-family: ui-monospace,
 .bar-fill { position: absolute; top: 0; height: 100%; }
 .bar-value { width: 6rem; flex: none; padding-left: .5rem;
              color: #3c4b5d; }
-.legend span { display: inline-block; margin-right: 1.2rem;
-               font-size: .8rem; }
-.swatch { display: inline-block; width: .7rem; height: .7rem;
-          margin-right: .3rem; }
 svg text { font-family: -apple-system, 'Segoe UI', Roboto, sans-serif; }
 """
 
@@ -181,13 +177,12 @@ def _scatter_svg(points: list[dict]) -> list[str]:
     for point in points:
         x = margin + point["speedup"] / max_x * plot_w
         y = 10 + plot_h - point["rel_error"] / max_y * plot_h
-        color = BACKEND_COLORS.get(point["backend"], "#5b6b7d")
         title = (
             f"{point['alias']} @ {point['artifact']}: "
             f"{point['speedup']:.2f}x, {point['rel_error'] * 100:.2f}%"
         )
         out.append(
-            f'<circle cx="{x:.2f}" cy="{y:.2f}" r="4" fill="{color}" '
+            f'<circle cx="{x:.2f}" cy="{y:.2f}" r="4" fill="{BAR_COLOR}" '
             f'fill-opacity="0.75"><title>{_esc(title)}</title></circle>'
         )
     out.append("</svg>")
@@ -207,11 +202,6 @@ def _accuracy_section(data: dict) -> list[str]:
         "(the granularity the paper reports).</p>"
     )
     out.extend(_scatter_svg(bench["points"]))
-    out.append('<div class="legend">' + "".join(
-        f'<span><span class="swatch" style="background:{color}"></span>'
-        f"{_esc(backend)}</span>"
-        for backend, color in sorted(BACKEND_COLORS.items())
-    ) + "</div>")
     rows = []
     for artifact in bench["artifacts"]:
         benches = artifact["benchmarks"]
@@ -222,7 +212,6 @@ def _accuracy_section(data: dict) -> list[str]:
         parity = (benches.get("parity") or {}).get("accuracy") or {}
         rows.append([
             artifact["name"],
-            artifact["backend"],
             _num(artifact["scale"]),
             (f"{speedup_info['overall_speedup']:.2f}x"
              if "overall_speedup" in speedup_info else "-"),
@@ -233,68 +222,38 @@ def _accuracy_section(data: dict) -> list[str]:
         ])
     out.append("<h3>History (oldest first)</h3>")
     out.extend(_table(
-        ["artifact", "backend", "scale", "speedup", "mean rel. error",
-         "backend parity", "wall"],
-        rows, label_columns=2,
+        ["artifact", "scale", "speedup", "mean rel. error",
+         "engine parity", "wall"],
+        rows, label_columns=1,
     ))
     return out
 
 
 def _waterfall_section(data: dict) -> list[str]:
-    """Per-stage time per bench spec, scalar vs vector side by side."""
+    """Per-stage time per bench spec, from the newest artifact."""
     artifacts = data["bench"]["artifacts"]
     out = ["<h2>Stage waterfalls</h2>"]
     if not artifacts:
         out.append('<p class="missing">no bench artifacts</p>')
         return out
-    newest_by_backend: dict[str, dict] = {}
-    for artifact in artifacts:  # later artifacts win: newest per backend
-        newest_by_backend[artifact["backend"]] = artifact
-    backends = sorted(newest_by_backend)
+    newest = artifacts[-1]
     out.append(
         '<p class="note">Cumulative span time per phase, from the newest '
-        "artifact of each backend ("
-        + ", ".join(
-            f"{backend}: {newest_by_backend[backend]['name']}"
-            for backend in backends
-        )
-        + ").</p>"
+        f"artifact ({_esc(newest['name'])}).</p>"
     )
-    spec_names = sorted({
-        name for artifact in newest_by_backend.values()
-        for name in artifact["benchmarks"]
-    })
-    for spec in spec_names:
-        phase_totals: dict[str, dict[str, float]] = {}
-        for backend in backends:
-            section = newest_by_backend[backend]["benchmarks"].get(spec)
-            if section is None:
-                continue
-            for phase in section["phases"]:
-                phase_totals.setdefault(str(phase["name"]), {})[backend] = (
-                    float(phase["total_seconds"])
-                )
-        if not phase_totals:
+    for spec in sorted(newest["benchmarks"]):
+        phases = newest["benchmarks"][spec]["phases"]
+        if not phases:
             continue
-        max_seconds = max(
-            value for totals in phase_totals.values()
-            for value in totals.values()
-        )
-        ranked = sorted(
-            phase_totals.items(),
-            key=lambda kv: (-max(kv[1].values()), kv[0]),
-        )
+        totals = {
+            str(phase["name"]): float(phase["total_seconds"])
+            for phase in phases
+        }
+        max_seconds = max(totals.values())
         out.append(f"<h3>{_esc(spec)}</h3>")
-        for name, totals in ranked:
-            for backend in backends:
-                if backend not in totals:
-                    continue
-                label = name if backend == backends[0] else f"({backend})"
-                out.append(_bar(
-                    label if len(backends) > 1 else name,
-                    totals[backend], max_seconds,
-                    BACKEND_COLORS.get(backend, "#5b6b7d"),
-                ))
+        ranked = sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))
+        for name, seconds in ranked:
+            out.append(_bar(name, seconds, max_seconds, BAR_COLOR))
     return out
 
 
@@ -414,7 +373,7 @@ def _trace_section(data: dict) -> list[str]:
             name,
             row["elapsed_seconds"],
             total,
-            BACKEND_COLORS["scalar"] if row["depth"] == 0 else "#7aa0c4",
+            BAR_COLOR if row["depth"] == 0 else "#7aa0c4",
             offset_fraction=(row["offset"] / total if total else 0.0),
             indent=row["depth"],
         ))

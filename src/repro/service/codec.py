@@ -20,7 +20,7 @@ import typing
 
 from repro.core.sampler import MEGsimOptions
 from repro.errors import ServiceError
-from repro.gpu.config import CycleConfig, GPUConfig
+from repro.gpu.config import GPUConfig
 from repro.pipeline.request import PipelineRequest
 from repro.store import jsonable
 from repro.workloads.base import WorkloadRef
@@ -31,6 +31,8 @@ REQUEST_SCHEMA = "megsim-request"
 #: Bumped when the encoding changes incompatibly.
 #: v2 adds the ``workload`` ref (``None`` for synthetic benchmarks);
 #: v1 documents predate the registry and decode with ``workload=None``.
+#: Documents written while the cycle simulator had a selectable backend
+#: carry a ``cycle`` field; it is ignored on read (one engine remains).
 REQUEST_SCHEMA_VERSION = 2
 
 #: Versions :func:`decode_request` still accepts.
@@ -46,7 +48,6 @@ def encode_request(request: PipelineRequest) -> dict:
         "scale": request.scale,
         "options": jsonable(request.options),
         "config": jsonable(request.config),
-        "cycle": jsonable(request.cycle),
         "workload": (
             None if request.workload is None else jsonable(request.workload)
         ),
@@ -122,10 +123,6 @@ def decode_request(payload: dict | str) -> PipelineRequest:
             scale=float(payload["scale"]),
             options=_build(MEGsimOptions, payload["options"]),
             config=_build(GPUConfig, payload["config"]),
-            # Documents written before the backend existed omit the
-            # field; they meant the scalar default, which is also what
-            # keeps their fingerprints stable.
-            cycle=_build(CycleConfig, payload.get("cycle", {})),
             # v1 documents predate the registry: they could only encode
             # synthetic benchmarks, whose workload ref is None.
             workload=(

@@ -79,9 +79,12 @@ class TestSubsetSimulation:
 
 class TestSingleFrame:
     def test_simulate_frame(self, simulator, tiny_trace):
-        stats = simulator.simulate_frame(tiny_trace.frames[0], tiny_trace)
+        # A one-frame selection runs from cold caches, exactly like the
+        # first frame of a full-sequence run.
+        (stats,) = simulator.simulate(tiny_trace, frame_ids=[0]).frame_stats
         assert stats.cycles > 0
         assert stats.fragments_shaded > 0
+        assert stats == simulator.simulate(tiny_trace).frame_stats[0]
 
 
 class TestSequenceResult:

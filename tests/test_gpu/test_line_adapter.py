@@ -1,13 +1,16 @@
-"""Tests for the line-granular validation mode (cache_model="line")."""
+"""Tests for the line-granular validation mode of the scalar reference
+(``reference_simulate(..., cache_model="line")``)."""
 
 import pytest
 
 from repro.errors import SimulationError
 from repro.gpu.config import CacheConfig, default_config
-from repro.gpu.cycle_sim import CycleAccurateSimulator
+from repro.gpu.cycle_sim import build_schedule
 from repro.gpu.hierarchy import MemorySystem
 from repro.gpu.line_adapter import LineBackedRegionCache
+from repro.gpu.parity import reference_simulate
 from repro.gpu.region_cache import RegionCache
+from repro.gpu.stats import FrameStats
 
 
 def make_cache(size=1024) -> LineBackedRegionCache:
@@ -84,15 +87,19 @@ class TestSimulatorIntegration:
             MemorySystem(default_config(), cache_model="quantum")
 
     def test_line_mode_close_to_region_mode(self, tiny_trace):
-        region = CycleAccurateSimulator().simulate(tiny_trace)
-        line = CycleAccurateSimulator(cache_model="line").simulate(tiny_trace)
+        _, schedule = build_schedule(tiny_trace)
+        config = default_config()
+        region = FrameStats.total(
+            reference_simulate(tiny_trace, schedule, config)
+        )
+        line = FrameStats.total(
+            reference_simulate(tiny_trace, schedule, config, cache_model="line")
+        )
         # Work counts are identical by construction.
-        assert line.totals.fragments_shaded == region.totals.fragments_shaded
+        assert line.fragments_shaded == region.fragments_shaded
         # Memory behaviour agrees within the conflict-miss margin the
         # region model ignores.
-        assert line.totals.l2_accesses == pytest.approx(
-            region.totals.l2_accesses, rel=0.25
-        )
-        assert line.totals.dram_accesses == pytest.approx(
-            region.totals.dram_accesses, rel=0.25
+        assert line.l2_accesses == pytest.approx(region.l2_accesses, rel=0.25)
+        assert line.dram_accesses == pytest.approx(
+            region.dram_accesses, rel=0.25
         )

@@ -161,13 +161,18 @@ class TestDataAssembly:
             load_bench_artifact(bad)
 
     def test_artifact_summary_and_backend_default(self, tmp_path):
+        # Artifacts from when the cycle simulator had a selectable
+        # backend carry a manifest tag; it no longer splits the history.
         bench = _write_artifacts(
             tmp_path / "bench", _bench_artifact(),
             _bench_artifact(backend="vector"),
         )
         data = report_data(bench_dir=bench)
         artifacts = data["bench"]["artifacts"]
-        assert [a["backend"] for a in artifacts] == ["scalar", "vector"]
+        assert [a["name"] for a in artifacts] == [
+            "BENCH_00.json", "BENCH_01.json",
+        ]
+        assert all("backend" not in a for a in artifacts)
         assert data["bench"]["newest"] == "BENCH_01.json"
         fig7 = artifacts[0]["benchmarks"]["fig7"]
         assert fig7["accuracy"]["rel_error.cycles"] == 0.01
@@ -179,12 +184,11 @@ class TestDataAssembly:
         assert [(p["alias"], p["speedup"]) for p in points] == [
             ("bbr1", 8.0), ("hwh", 6.0),
         ]
-        assert all(p["backend"] == "scalar" for p in points)
         # Mean of rel_error.cycles (0.01) and rel_error.dram (0.02).
         assert all(p["rel_error"] == pytest.approx(0.015) for p in points)
         # No speedup section, or no accuracy section: no points.
         assert accuracy_speedup_points([{
-            "name": "x", "backend": "scalar", "benchmarks": {},
+            "name": "x", "benchmarks": {},
         }]) == []
 
     def test_histogram_rows_quote_rebuilt_percentiles(self, tmp_path):
@@ -262,6 +266,12 @@ class TestRendering:
         assert "<svg" in page
         assert "task:0" in page  # worker lineage on the waterfall
         assert "t0" * 8 in page  # the trace id
+
+    def test_waterfall_shows_the_newest_artifact(self, tmp_path):
+        page = render_html(self._full_data(tmp_path))
+        waterfall = page.split("<h2>Stage waterfalls</h2>")[1].split("<h2>")[0]
+        assert "newest artifact (BENCH_01.json)" in waterfall
+        assert waterfall.count("cycle.simulate") == 1
 
     def test_page_is_self_contained(self, tmp_path):
         page = render_html(self._full_data(tmp_path))

@@ -54,6 +54,30 @@ def test_document_shape():
     assert isinstance(document["config"], dict)
 
 
+def test_document_carries_no_cycle_field():
+    document = encode_request(PipelineRequest.create("bbr1", scale=0.1))
+    assert "cycle" not in document
+
+
+@pytest.mark.parametrize(
+    "cycle",
+    [{"backend": "scalar"}, {"backend": "vector"}, None],
+    ids=["scalar", "vector", "absent"],
+)
+def test_v2_cycle_field_is_ignored_on_read(cycle):
+    """Rows queued while the cycle simulator had a selectable backend
+    still decode, to the same request, and drain against the same
+    artifacts."""
+    request = PipelineRequest.create("hwh", scale=0.25)
+    document = encode_request(request)
+    assert document["version"] == 2
+    if cycle is not None:
+        document["cycle"] = cycle
+    decoded = decode_request(json.dumps(document))
+    assert decoded == request
+    assert stage_fingerprints(decoded) == stage_fingerprints(request)
+
+
 def test_decode_rejects_bad_json():
     with pytest.raises(ServiceError, match="not JSON"):
         decode_request("{nope")
