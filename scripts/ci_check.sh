@@ -37,13 +37,30 @@ MEGSIM_JOBS=auto python -m pytest -x -q tests/test_parallel/test_determinism.py
 # and work counters are enforced everywhere.  The generous threshold
 # absorbs shared-runner noise.  It runs once: there is one cycle-sim
 # engine, and the suite's parity spec checks it against the scalar
-# reference oracle bit for bit.
+# reference oracle bit for bit.  Each spec's paper-shape claims are
+# checked as it runs; a broken claim fails the command.
 echo "== bench smoke regression gate =="
 GATE_TMP="$(mktemp -d)"
 trap 'rm -rf "$GATE_TMP"' EXIT
 python -m repro bench --suite smoke --scale 0.05 \
     --compare benchmarks/baselines/smoke.json --threshold 2.0 \
-    --out "$GATE_TMP/smoke.json"
+    --out "$GATE_TMP/smoke.json" --reports "$GATE_TMP/reports"
+
+# --reports must leave exactly one non-empty <name>.txt per smoke spec.
+python - "$GATE_TMP/reports" <<'EOF'
+import sys
+from pathlib import Path
+
+from repro.bench import bench_names
+
+reports = Path(sys.argv[1])
+expected = {f"{name}.txt" for name in bench_names("smoke")}
+written = {path.name for path in reports.iterdir()}
+assert written == expected, f"reports {sorted(written)} != {sorted(expected)}"
+empty = sorted(n for n in written if not (reports / n).read_text().strip())
+assert not empty, f"empty reports: {empty}"
+print(f"bench reports: OK ({len(written)} non-empty)")
+EOF
 
 # The warm-started cluster sweep must hold its budget: one full-dataset
 # k-means per explored k, and no more exploration than 1/3 of what the
@@ -72,15 +89,17 @@ EOF
 # runs sharing one fresh MEGSIM_STORE must produce byte-identical
 # deterministic results, and the second must be served from the store —
 # zero trace generation, zero functional profiling, zero cycle
-# simulation in any benchmark.
+# simulation in any benchmark.  It runs at the smoke suite's own scale:
+# bench checks every spec's paper-shape claims, and table3's average
+# reduction misses its floor at scale 0.02 (ROADMAP item 3).
 echo "== store warm determinism =="
 STORE_TMP="$(mktemp -d)"
 SERVICE_TMP="$(mktemp -d)"
 trap 'rm -rf "$GATE_TMP" "$STORE_TMP" "$SERVICE_TMP"' EXIT
 MEGSIM_STORE="$STORE_TMP/store" python -m repro bench --suite smoke \
-    --scale 0.02 --warm --out "$STORE_TMP/warm1.json"
+    --scale 0.05 --warm --out "$STORE_TMP/warm1.json"
 MEGSIM_STORE="$STORE_TMP/store" python -m repro bench --suite smoke \
-    --scale 0.02 --warm --out "$STORE_TMP/warm2.json"
+    --scale 0.05 --warm --out "$STORE_TMP/warm2.json"
 python - "$STORE_TMP/warm1.json" "$STORE_TMP/warm2.json" <<'EOF'
 import json
 import sys

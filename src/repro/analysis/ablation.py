@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
+from repro.analysis.result import ExperimentResult
 from repro.analysis.runner import evaluate_benchmark
 from repro.analysis.tables import render_table
 from repro.core.features import FeatureOptions, PAPER_WEIGHTS
@@ -36,7 +37,36 @@ class AblationPoint:
     errors: dict[str, float]
 
 
-def weight_ablation(alias: str, scale: float = 1.0) -> tuple[list[AblationPoint], str]:
+def _point(label: str, evaluation) -> AblationPoint:
+    """One sweep point from a finished benchmark evaluation."""
+    return AblationPoint(
+        label=label,
+        selected_frames=evaluation.plan.selected_frame_count,
+        reduction=evaluation.reduction_factor,
+        errors=evaluation.relative_errors(),
+    )
+
+
+def _sweep_result(
+    name: str, alias: str, points: list[AblationPoint], first_column: str,
+    title: str, frames_column: str = "frames",
+) -> ExperimentResult:
+    """The shared report table of every :class:`AblationPoint` sweep."""
+    rows = [
+        [p.label, str(p.selected_frames), f"{p.reduction:.0f}x"]
+        + [f"{100 * p.errors[m]:.2f}%" for m in KEY_METRICS]
+        for p in points
+    ]
+    report = render_table(
+        [first_column, frames_column, "reduction", "cycles err", "DRAM err",
+         "L2 err", "Tile err"],
+        rows,
+        title=title,
+    )
+    return ExperimentResult(name, {"alias": alias, "points": points}, report)
+
+
+def weight_ablation(alias: str = "bbr1", scale: float = 1.0) -> ExperimentResult:
     """Compare the paper's power weights against simpler alternatives."""
     variants = [
         ("paper (0.108/0.745/0.147)", FeatureOptions()),
@@ -45,72 +75,40 @@ def weight_ablation(alias: str, scale: float = 1.0) -> tuple[list[AblationPoint]
         ("no instruction scaling",
          FeatureOptions(weights=PAPER_WEIGHTS, instruction_scaling=False)),
     ]
-    points = []
-    for label, features in variants:
-        evaluation = evaluate_benchmark(
+    points = [
+        _point(label, evaluate_benchmark(
             alias, scale=scale, options=MEGsimOptions(features=features)
-        )
-        points.append(
-            AblationPoint(
-                label=label,
-                selected_frames=evaluation.plan.selected_frame_count,
-                reduction=evaluation.reduction_factor,
-                errors=evaluation.relative_errors(),
-            )
-        )
-    rows = [
-        [p.label, str(p.selected_frames), f"{p.reduction:.0f}x"]
-        + [f"{100 * p.errors[m]:.2f}%" for m in KEY_METRICS]
-        for p in points
+        ))
+        for label, features in variants
     ]
-    report = render_table(
-        ["weights", "frames", "reduction", "cycles err", "DRAM err",
-         "L2 err", "Tile err"],
-        rows,
-        title=f"Weight ablation on {alias} (scale={scale})",
+    return _sweep_result(
+        "weight_ablation", alias, points, "weights",
+        f"Weight ablation on {alias} (scale={scale})",
     )
-    return points, report
 
 
 def threshold_sweep(
-    alias: str,
+    alias: str = "jjo",
     thresholds: tuple[float, ...] = (0.5, 0.7, 0.85, 0.95, 1.0),
     scale: float = 1.0,
-) -> tuple[list[AblationPoint], str]:
+) -> ExperimentResult:
     """Sweep the BIC-spread threshold T (paper default 0.85)."""
-    points = []
-    for threshold in thresholds:
-        evaluation = evaluate_benchmark(
+    points = [
+        _point(f"T={threshold}", evaluate_benchmark(
             alias, scale=scale, options=MEGsimOptions(threshold=threshold)
-        )
-        points.append(
-            AblationPoint(
-                label=f"T={threshold}",
-                selected_frames=evaluation.plan.selected_frame_count,
-                reduction=evaluation.reduction_factor,
-                errors=evaluation.relative_errors(),
-            )
-        )
-    rows = [
-        [p.label, str(p.selected_frames), f"{p.reduction:.0f}x"]
-        + [f"{100 * p.errors[m]:.2f}%" for m in KEY_METRICS]
-        for p in points
+        ))
+        for threshold in thresholds
     ]
-    report = render_table(
-        ["T", "frames", "reduction", "cycles err", "DRAM err", "L2 err",
-         "Tile err"],
-        rows,
-        title=(
-            f"BIC threshold sweep on {alias} (scale={scale}): higher T -> "
-            "more clusters -> lower error (Section III-F trade-off)"
-        ),
+    return _sweep_result(
+        "threshold_sweep", alias, points, "T",
+        f"BIC threshold sweep on {alias} (scale={scale}): higher T -> "
+        "more clusters -> lower error (Section III-F trade-off)",
     )
-    return points, report
 
 
 def cluster_method_study(
-    alias: str, scale: float = 1.0
-) -> tuple[list[AblationPoint], str]:
+    alias: str = "pvz", scale: float = 1.0
+) -> ExperimentResult:
     """Compare cluster-count selection strategies on one benchmark.
 
     The paper's linear BIC sweep against x-means recursive splitting and a
@@ -126,30 +124,15 @@ def cluster_method_study(
         ("agglomerative", MEGsimOptions(cluster_method="agglomerative")),
         ("bic-search + projection(16)", MEGsimOptions(projection_dims=16)),
     ]
-    points = []
-    for label, options in variants:
-        evaluation = evaluate_benchmark(alias, scale=scale, options=options)
-        points.append(
-            AblationPoint(
-                label=label,
-                selected_frames=evaluation.plan.selected_frame_count,
-                reduction=evaluation.reduction_factor,
-                errors=evaluation.relative_errors(),
-            )
-        )
-    points.append(_streaming_point(alias, scale))
-    rows = [
-        [p.label, str(p.selected_frames), f"{p.reduction:.0f}x"]
-        + [f"{100 * p.errors[m]:.2f}%" for m in KEY_METRICS]
-        for p in points
+    points = [
+        _point(label, evaluate_benchmark(alias, scale=scale, options=options))
+        for label, options in variants
     ]
-    report = render_table(
-        ["strategy", "frames", "reduction", "cycles err", "DRAM err",
-         "L2 err", "Tile err"],
-        rows,
-        title=f"Cluster-selection strategy study on {alias} (scale={scale})",
+    points.append(_streaming_point(alias, scale))
+    return _sweep_result(
+        "cluster_method_study", alias, points, "strategy",
+        f"Cluster-selection strategy study on {alias} (scale={scale})",
     )
-    return points, report
 
 
 def _streaming_point(alias: str, scale: float) -> AblationPoint:
@@ -183,10 +166,16 @@ def _streaming_point(alias: str, scale: float) -> AblationPoint:
     )
 
 
+#: The convergence sweep's sequence lengths, as fractions of the run's
+#: ``scale`` (at scale 1.0: 10%, 25%, 50% and 100% of Table II).
+CONVERGENCE_FRACTIONS = (0.1, 0.25, 0.5, 1.0)
+
+
 def scale_convergence_study(
-    alias: str,
-    scales: tuple[float, ...] = (0.05, 0.1, 0.2, 0.4),
-) -> tuple[list[AblationPoint], str]:
+    alias: str = "jjo",
+    scale: float = 1.0,
+    scales: tuple[float, ...] | None = None,
+) -> ExperimentResult:
     """How sampling behaves as the sequence grows.
 
     Longer sequences revisit their phases more often, so clusters gain
@@ -195,41 +184,32 @@ def scale_convergence_study(
     the scaling argument behind the paper's claim that MEGsim turns
     days-long simulations into hours: the longer the capture, the bigger
     the win.
+
+    ``scales`` defaults to :data:`CONVERGENCE_FRACTIONS` of ``scale``.
     """
+    if scales is None:
+        scales = tuple(round(f * scale, 6) for f in CONVERGENCE_FRACTIONS)
     points = []
-    for scale in scales:
-        evaluation = evaluate_benchmark(alias, scale=scale)
-        points.append(
-            AblationPoint(
-                label=f"scale={scale} ({evaluation.trace.frame_count} frames)",
-                selected_frames=evaluation.plan.selected_frame_count,
-                reduction=evaluation.reduction_factor,
-                errors=evaluation.relative_errors(),
-            )
-        )
-    rows = [
-        [p.label, str(p.selected_frames), f"{p.reduction:.0f}x"]
-        + [f"{100 * p.errors[m]:.2f}%" for m in KEY_METRICS]
-        for p in points
-    ]
-    report = render_table(
-        ["sequence", "frames selected", "reduction", "cycles err",
-         "DRAM err", "L2 err", "Tile err"],
-        rows,
-        title=(
-            f"Sequence-length convergence on {alias}: representatives "
-            "saturate while sequences grow, so the reduction factor scales "
-            "with capture length"
-        ),
+    for length in scales:
+        evaluation = evaluate_benchmark(alias, scale=length)
+        points.append(_point(
+            f"scale={length} ({evaluation.trace.frame_count} frames)",
+            evaluation,
+        ))
+    return _sweep_result(
+        "scale_convergence_study", alias, points, "sequence",
+        f"Sequence-length convergence on {alias}: representatives "
+        "saturate while sequences grow, so the reduction factor scales "
+        "with capture length",
+        frames_column="frames selected",
     )
-    return points, report
 
 
 def warmup_study(
-    alias: str,
+    alias: str = "hwh",
     warmups: tuple[int, ...] = (0, 1, 2, 4),
     scale: float = 1.0,
-) -> tuple[list[AblationPoint], str]:
+) -> ExperimentResult:
     """Sweep cache warm-up frames before each representative (ASSI study).
 
     MEGsim simulates representatives with cold caches; frames deep inside
@@ -265,21 +245,12 @@ def warmup_study(
                 errors=errors,
             )
         )
-    rows = [
-        [p.label, str(p.selected_frames), f"{p.reduction:.0f}x"]
-        + [f"{100 * p.errors[m]:.2f}%" for m in KEY_METRICS]
-        for p in points
-    ]
-    report = render_table(
-        ["ASSI warmup", "frames simulated", "reduction", "cycles err",
-         "DRAM err", "L2 err", "Tile err"],
-        rows,
-        title=(
-            f"Warm-up (ASSI) study on {alias} (scale={scale}): frames "
-            "simulated before each representative, statistics discarded"
-        ),
+    return _sweep_result(
+        "warmup_study", alias, points, "ASSI warmup",
+        f"Warm-up (ASSI) study on {alias} (scale={scale}): frames "
+        "simulated before each representative, statistics discarded",
+        frames_column="frames simulated",
     )
-    return points, report
 
 
 @dataclass(frozen=True)
@@ -293,10 +264,15 @@ class ModeStudyPoint:
     selected_frames: int
     errors: dict[str, float]
 
+    @property
+    def label(self) -> str:
+        """The row label shared with :class:`AblationPoint`."""
+        return self.mode
+
 
 def rendering_mode_study(
-    alias: str, scale: float = 1.0
-) -> tuple[list[ModeStudyPoint], str]:
+    alias: str = "bbr1", scale: float = 1.0
+) -> ExperimentResult:
     """Run MEGsim against the TBR, TBDR and IMR GPU variants.
 
     Checks two things at once: the Section II-A architecture claims (TBDR
@@ -337,4 +313,6 @@ def rendering_mode_study(
             "to TBR / TBDR (HSR) / IMR GPU variants"
         ),
     )
-    return points, report
+    return ExperimentResult(
+        "rendering_mode_study", {"alias": alias, "points": points}, report
+    )

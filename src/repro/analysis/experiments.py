@@ -2,26 +2,40 @@
 
 Every experiment returns an :class:`ExperimentResult` holding structured
 ``data`` (for tests and further analysis) and a rendered text ``report``
-(what the benchmark harness prints).  Paper reference values are embedded
-so reports show paper-vs-measured side by side.
+(what ``megsim run`` prints and ``megsim bench --reports`` writes).
+Paper reference values are embedded so reports show paper-vs-measured
+side by side.  :data:`EXPERIMENTS` also registers the ablation and
+extension studies (:mod:`repro.analysis.ablation`,
+:mod:`repro.analysis.phase_recovery`) and the parallel-scaling
+measurement, so every experiment runs through one registry.
 
 The ``scale`` argument shortens every sequence while preserving its phase
 structure; ``scale=1.0`` reproduces the paper's full frame counts (used for
-EXPERIMENTS.md), smaller values keep the pytest benchmark suite fast.
+EXPERIMENTS.md), smaller values keep the bench suites fast.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
 from typing import Callable
 
 import numpy as np
 
+from repro.analysis.ablation import (
+    cluster_method_study,
+    rendering_mode_study,
+    scale_convergence_study,
+    threshold_sweep,
+    warmup_study,
+    weight_ablation,
+)
+from repro.analysis.phase_recovery import phase_recovery_study
 from repro.analysis.random_study import (
     megsim_error_distribution,
     random_frames_for_error,
 )
 from repro.analysis.metrics import percentile_abs_error
+from repro.analysis.result import ExperimentResult
 from repro.analysis.runner import evaluate_benchmark
 from repro.analysis.tables import render_bars, render_grouped_bars, render_table
 from repro.core.correlation import multiple_correlation, pearson_correlation
@@ -67,15 +81,6 @@ PAPER_FIG7_AVG = {
 }
 #: Figure 4 paper average power fractions (Geometry, Raster, Tiling).
 PAPER_FIG4_AVG = (0.108, 0.745, 0.147)
-
-
-@dataclass(frozen=True)
-class ExperimentResult:
-    """Structured data plus a printable report for one experiment."""
-
-    name: str
-    data: dict
-    report: str
 
 
 def _pct(x: float) -> str:
@@ -232,9 +237,23 @@ def fig4_power(scale: float = 1.0) -> ExperimentResult:
 # Figures 5 and 6.
 # ----------------------------------------------------------------------
 
-def fig5_similarity(alias: str = "bbr1", frames: int = 900,
+#: Frames of the bbr prefix the paper's Figures 5 and 6 analyse.
+FIG56_FRAMES = 900
+
+
+def scaled_frames(frames: int, scale: float, minimum: int = 40) -> int:
+    """Scale a paper frame count to a run's ``scale`` (at least ``minimum``)."""
+    return max(minimum, round(frames * scale))
+
+
+def fig5_similarity(alias: str = "bbr1", frames: int | None = None,
                     scale: float = 1.0, width: int = 60) -> ExperimentResult:
-    """Figure 5: the similarity matrix of a bbr sequence prefix."""
+    """Figure 5: the similarity matrix of a bbr sequence prefix.
+
+    ``frames`` defaults to the paper's 900 scaled by ``scale``.
+    """
+    if frames is None:
+        frames = scaled_frames(FIG56_FRAMES, scale)
     evaluation = evaluate_benchmark(alias, scale=scale)
     features, _ = build_feature_matrix(evaluation.profile)
     frames = min(frames, features.shape[0])
@@ -250,11 +269,16 @@ def fig5_similarity(alias: str = "bbr1", frames: int = 900,
     )
 
 
-def fig6_clusters(alias: str = "bbr1", frames: int = 900,
+def fig6_clusters(alias: str = "bbr1", frames: int | None = None,
                   scale: float = 1.0, width: int = 90) -> ExperimentResult:
-    """Figure 6: k-means clusters drawn along the matrix diagonal."""
+    """Figure 6: k-means clusters drawn along the matrix diagonal.
+
+    ``frames`` defaults to the paper's 900 scaled by ``scale``.
+    """
     from repro.core.cluster_search import search_clustering
 
+    if frames is None:
+        frames = scaled_frames(FIG56_FRAMES, scale)
     evaluation = evaluate_benchmark(alias, scale=scale)
     features, _ = build_feature_matrix(evaluation.profile)
     frames = min(frames, features.shape[0])
@@ -610,6 +634,63 @@ def backend_compare(scale: float = 1.0, max_frames: int = 16) -> ExperimentResul
     return ExperimentResult("backend_compare", data, report_text)
 
 
+# ----------------------------------------------------------------------
+# Parallel scaling of the pooled functional-profiling pass.
+# ----------------------------------------------------------------------
+
+#: Worker counts the scaling measurement compares (1 is the reference).
+SCALING_WORKERS = (1, 2, 4)
+#: Timing rounds per worker count; the best round is kept.
+SCALING_ROUNDS = 3
+
+
+def parallel_scaling() -> ExperimentResult:
+    """Wall-clock scaling of the functional profile at 1, 2 and 4 workers.
+
+    Profiles hcr at scale 0.26 (520 frames with its full phase
+    structure; the ``parallel_scaling`` bench spec requires at least 512)
+    with :func:`~repro.parallel.profile_parallel`, keeping the best of
+    :data:`SCALING_ROUNDS` rounds per worker count.  The timings are
+    facts of the measuring machine; ``data["cpus"]`` records how many
+    CPUs it had (docs/parallelism.md).
+    """
+    from repro.parallel import ParallelConfig, available_cpus, profile_parallel
+    from repro.workloads.benchmarks import make_benchmark
+
+    trace = make_benchmark("hcr", scale=0.26)
+    cpus = available_cpus()
+    seconds = {}
+    for jobs in SCALING_WORKERS:
+        best = math.inf
+        for _ in range(SCALING_ROUNDS):
+            with span("parallel_scaling.round", jobs=jobs) as timing:
+                profile_parallel(trace, parallel=ParallelConfig(jobs=jobs))
+            best = min(best, timing.elapsed_seconds)
+        seconds[jobs] = best
+    speedups = {
+        jobs: seconds[1] / seconds[jobs] if seconds[jobs] > 0 else math.inf
+        for jobs in SCALING_WORKERS
+    }
+    lines = [
+        "Parallel scaling (docs/parallelism.md)",
+        f"trace: {trace.name}, {trace.frame_count} frames; "
+        f"{cpus} CPU(s) available; best of {SCALING_ROUNDS} rounds",
+        "",
+        "functional profile:",
+    ]
+    lines += [
+        f"  jobs={jobs}: {seconds[jobs] * 1e3:8.1f} ms   "
+        f"speedup {speedups[jobs]:4.2f}x"
+        for jobs in SCALING_WORKERS
+    ]
+    return ExperimentResult(
+        "parallel_scaling",
+        {"frames": trace.frame_count, "cpus": cpus, "seconds": seconds,
+         "speedup": speedups},
+        "\n".join(lines),
+    )
+
+
 #: Experiment registry: name -> callable.
 EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {
     "table1": table1_config,
@@ -624,6 +705,14 @@ EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {
     "speedup": speedup,
     "adversarial": adversarial,
     "backend_compare": backend_compare,
+    "weight_ablation": weight_ablation,
+    "threshold_sweep": threshold_sweep,
+    "cluster_method_study": cluster_method_study,
+    "warmup_study": warmup_study,
+    "rendering_mode_study": rendering_mode_study,
+    "scale_convergence_study": scale_convergence_study,
+    "phase_recovery_study": phase_recovery_study,
+    "parallel_scaling": parallel_scaling,
 }
 
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.analysis.result import ExperimentResult
 from repro.analysis.tables import render_table
 from repro.core.rand_index import adjusted_rand_index
 from repro.core.sampler import MEGsim, MEGsimOptions
@@ -59,8 +60,11 @@ def phase_recovery_study(
     aliases: tuple[str, ...] | None = None,
     scale: float = 1.0,
     options: MEGsimOptions | None = None,
-) -> tuple[list[PhaseRecoveryResult], str]:
-    """Score MEGsim's clusters against the generator's phase labels."""
+) -> ExperimentResult:
+    """Score MEGsim's clusters against the generator's phase labels.
+
+    ``data["results"]`` holds one :class:`PhaseRecoveryResult` per alias.
+    """
     if aliases is None:
         aliases = benchmark_aliases()
     sampler = MEGsim(options)
@@ -101,4 +105,4 @@ def phase_recovery_study(
             "generator's ground-truth gameplay phases"
         ),
     )
-    return results, report
+    return ExperimentResult("phase_recovery_study", {"results": results}, report)

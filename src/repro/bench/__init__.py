@@ -1,16 +1,20 @@
 """Benchmark harness: registry, suite runner and regression comparison.
 
-``repro.bench`` is the performance-telemetry counterpart of the
-experiment pipeline (``megsim bench`` on the command line):
+``repro.bench`` is the one front-end for the paper's experiments
+(``megsim bench`` on the command line):
 
-* :data:`BENCHES` / :class:`BenchSpec` / :class:`BenchOutcome` — the
-  registry of named, parameterized benchmarks wrapping the paper's
-  experiments (:mod:`repro.bench.registry`).
+* :data:`BENCHES` / :class:`BenchSpec` / :class:`BenchOutcome` /
+  :class:`Claim` — the registry of named, parameterized benchmarks
+  wrapping every table, figure and study, each with the paper-shape
+  claims its result must pass; :data:`SUITE_SCALES` /
+  :func:`suite_scale` / :func:`artifact_name` — per-suite defaults
+  (:mod:`repro.bench.registry`).
 * :func:`run_suite` / :func:`write_artifact` /
-  :func:`render_bench_report` — run a suite (``smoke`` or ``full``) and
-  emit a schema-versioned ``BENCH_<suite>.json`` artifact whose
-  deterministic *results* section is byte-identical for any ``--jobs``
-  value (:mod:`repro.bench.harness`).
+  :func:`render_bench_report` — run a suite (``smoke`` or ``full``),
+  optionally writing each experiment's text report, and emit a
+  schema-versioned ``BENCH_<suite>.json`` artifact whose deterministic
+  *results* section is byte-identical for any ``--jobs`` value
+  (:mod:`repro.bench.harness`).
 * :func:`compare_artifacts` / :func:`regressions` /
   :func:`render_comparison` / :func:`load_artifact` — gate a fresh
   artifact against a checked-in baseline; accuracy and work-count
@@ -45,10 +49,14 @@ from repro.bench.harness import (
 )
 from repro.bench.registry import (
     BENCHES,
+    SUITE_SCALES,
     SUITES,
     BenchOutcome,
     BenchSpec,
+    Claim,
+    artifact_name,
     bench_names,
+    suite_scale,
 )
 
 __all__ = [
@@ -57,9 +65,12 @@ __all__ = [
     "BENCH_SCHEMA_VERSION",
     "BenchOutcome",
     "BenchSpec",
+    "Claim",
     "DEFAULT_THRESHOLD",
     "Delta",
     "SUITES",
+    "SUITE_SCALES",
+    "artifact_name",
     "bench_names",
     "compare_artifacts",
     "load_artifact",
@@ -67,5 +78,6 @@ __all__ = [
     "render_bench_report",
     "render_comparison",
     "run_suite",
+    "suite_scale",
     "write_artifact",
 ]

@@ -98,10 +98,18 @@ def compare_artifacts(
 
     Raises:
         ConfigError: when ``threshold`` is below 1.0 — a gate that fails
-            on *improvement* is always a configuration mistake.
+            on *improvement* is always a configuration mistake — or when
+            the two artifacts ran a different suite or scale, whose
+            accuracy and work are not comparable.
     """
     if not math.isfinite(threshold) or threshold < 1.0:
         raise ConfigError(f"threshold must be >= 1.0, got {threshold!r}")
+    for key in ("suite", "scale"):
+        if current.get(key) != baseline.get(key):
+            raise ConfigError(
+                f"cannot compare artifacts of different {key}: current "
+                f"{current.get(key)!r}, baseline {baseline.get(key)!r}"
+            )
     same_platform = (
         current.get("manifest", {}).get("platform")
         == baseline.get("manifest", {}).get("platform")

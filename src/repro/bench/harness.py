@@ -33,8 +33,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.bench.registry import BENCHES, bench_names
-from repro.benchmark_support import suite_scale
+from repro.bench.registry import BENCHES, bench_names, suite_scale
 from repro.core.sampler import MEGsimOptions
 from repro.errors import ConfigError
 from repro.obs import (
@@ -91,12 +90,18 @@ def _subtree_timings(record: Span) -> list[dict]:
     ]
 
 
-def _run_spec(name: str) -> dict:
-    """Run one registered benchmark; returns its artifact section.
+def _run_spec(name: str) -> tuple[dict, str]:
+    """Run one registered benchmark and check its claims.
 
     This is the :func:`~repro.parallel.parallel_map` worker: the same
     function runs inline at ``jobs=1`` and in pool workers at
     ``jobs>1``, reading the suite scale from the shared worker state.
+
+    Returns:
+        The benchmark's artifact section and the experiment's text report.
+
+    Raises:
+        BenchError: when the result breaks one of the spec's claims.
     """
     spec = BENCHES[name]
     scale = float(get_state("scale"))
@@ -108,7 +113,8 @@ def _run_spec(name: str) -> dict:
     store = get_store() if warm else memory_store()
     with store_scope(store):
         with span(f"bench.{name}", benchmark=name, scale=scale) as timing:
-            _, outcome = spec.run(scale)
+            result, outcome = spec.run(scale)
+    spec.check_claims(result, scale)
 
     local = MetricsRegistry()
     metrics: dict[str, dict] = {}
@@ -124,7 +130,7 @@ def _run_spec(name: str) -> dict:
     if collector is not None:
         collector.absorb_metrics(local.state())
 
-    return {
+    section = {
         "experiment": spec.experiment,
         "description": spec.description,
         "params": dict(spec.params),
@@ -142,6 +148,7 @@ def _run_spec(name: str) -> dict:
             "timing_info": dict(outcome.timing_info),
         },
     }
+    return section, result.report
 
 
 def run_suite(
@@ -152,13 +159,14 @@ def run_suite(
     names: list[str] | None = None,
     jobs_requested: int | str | None = None,
     warm: bool = False,
+    reports: str | Path | None = None,
 ) -> dict:
     """Run a benchmark suite and return the artifact dictionary.
 
     Args:
         suite: suite name (``"smoke"`` or ``"full"``).
         scale: sequence-length scale; ``None`` uses the suite default
-            (:func:`repro.benchmark_support.suite_scale`).
+            (:func:`repro.bench.registry.suite_scale`).
         parallel: worker-pool configuration; ``None`` runs serially.
         names: explicit benchmark subset; ``None`` runs the whole suite.
         jobs_requested: the raw ``--jobs`` request, recorded in the
@@ -166,6 +174,8 @@ def run_suite(
         warm: share the process-wide artifact store across specs (the
             CLI's ``--warm``) instead of giving each spec a cold,
             private one; see the module docstring for the trade-off.
+        reports: directory receiving each benchmark's text report as
+            ``<name>.txt`` (the CLI's ``--reports``); ``None`` writes none.
 
     Returns:
         The artifact as a plain dictionary (see the module docstring for
@@ -173,6 +183,7 @@ def run_suite(
 
     Raises:
         ConfigError: on an unknown suite or benchmark name.
+        BenchError: when a benchmark's result breaks one of its claims.
     """
     selected = list(names) if names is not None else bench_names(suite)
     for name in selected:
@@ -204,7 +215,7 @@ def run_suite(
         with span(
             f"bench.suite.{suite}", suite=suite, scale=resolved_scale
         ) as total:
-            sections = parallel_map(
+            outcomes = parallel_map(
                 _run_spec,
                 selected,
                 parallel=config,
@@ -220,13 +231,20 @@ def run_suite(
         }
     if outer is not None:
         merge_buffer(outer, capture_buffer(collector))
+    if reports is not None:
+        directory = Path(reports)
+        directory.mkdir(parents=True, exist_ok=True)
+        for name, (_, report) in zip(selected, outcomes):
+            (directory / f"{name}.txt").write_text(report + "\n")
 
     return {
         "schema": BENCH_SCHEMA,
         "schema_version": BENCH_SCHEMA_VERSION,
         "suite": suite,
         "scale": resolved_scale,
-        "benchmarks": dict(zip(selected, sections)),
+        "benchmarks": {
+            name: section for name, (section, _) in zip(selected, outcomes)
+        },
         "metrics": registry,
         "total_wall_seconds": total.elapsed_seconds,
         "manifest": manifest.to_dict(),
@@ -265,5 +283,5 @@ def render_bench_report(artifact: dict) -> str:
         for key, value in section["results"]["accuracy"].items():
             parts.append(f"{key}={value:.4g}")
         detail = f"  [{', '.join(parts)}]" if parts else ""
-        lines.append(f"  {name:<10s} {wall:8.2f}s{detail}")
+        lines.append(f"  {name:<24s} {wall:8.2f}s{detail}")
     return "\n".join(lines)

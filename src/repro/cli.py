@@ -6,9 +6,9 @@ Examples::
     megsim run table3 --scale 0.25    # regenerate Table III, quick
     megsim run fig7 --scale 1.0       # full-length Figure 7
     megsim plan bbr1 --scale 0.2      # show a sampling plan
-    megsim all --scale 0.25           # every experiment, in paper order
     megsim lint                       # static analysis (docs/linting.md)
     megsim bench --suite smoke        # benchmark suite -> BENCH_smoke.json
+    megsim bench --suite full --reports out/  # every experiment's report
     megsim cache stats                # artifact-store occupancy
     megsim submit --suite smoke       # queue evaluations for the service
     megsim serve --once               # drain the queue through the worker pool
@@ -41,19 +41,22 @@ text or JSON Lines).  Setting the ``MEGSIM_TRACE`` environment variable
 to a path is equivalent to passing ``--trace`` with that path.
 
 Benchmarking (see ``docs/benchmarking.md``): ``megsim bench`` runs a
-named suite, writes a schema-versioned artifact and, with ``--compare
-baseline.json``, exits non-zero on performance or accuracy regressions.
+named suite, checks each experiment's paper-shape claims, writes a
+schema-versioned artifact (and with ``--reports DIR`` every experiment's
+text report) and, with ``--compare baseline.json``, exits non-zero on
+performance or accuracy regressions.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import sys
 from pathlib import Path
 
 from repro.analysis.experiments import EXPERIMENTS, run_experiment
-from repro.bench import DEFAULT_THRESHOLD, SUITES
+from repro.bench import DEFAULT_THRESHOLD, SUITE_SCALES, SUITES, suite_scale
 from repro.core.sampler import MEGsim, MEGsimOptions
 from repro.errors import ConfigError
 from repro.obs import (
@@ -69,11 +72,9 @@ from repro.obs import (
 from repro.parallel import (
     JOBS_ENV_VAR,
     ParallelConfig,
-    parallel_map,
     profile_parallel,
     resolve_jobs,
 )
-from repro.benchmark_support import SUITE_SCALES, suite_scale
 from repro.store import get_store, memory_store, store_scope
 from repro.workloads.benchmarks import benchmark_aliases, make_benchmark
 from repro.workloads.registry import (
@@ -173,12 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_store(run)
     _add_obs(run)
 
-    everything = commands.add_parser("all", help="run every experiment")
-    _add_scale(everything)
-    _add_jobs(everything)
-    _add_store(everything)
-    _add_obs(everything)
-
     plan = commands.add_parser("plan", help="show a workload's sampling plan")
     plan.add_argument("benchmark", nargs="?", default=None, metavar="WORKLOAD",
                       help="workload registry key (see 'megsim workloads "
@@ -256,6 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: the suite's own scale)")
     bench.add_argument("--out", default=None,
                        help="artifact path (default: BENCH_<suite>.json)")
+    bench.add_argument("--reports", default=None, metavar="DIR",
+                       help="also write each experiment's text report to "
+                            "DIR/<name>.txt")
     bench.add_argument("--compare", dest="baseline", metavar="BASELINE",
                        default=None,
                        help="compare against a baseline artifact and exit "
@@ -476,15 +474,6 @@ def _jobs_facts(args: argparse.Namespace) -> tuple[str | None, int | None]:
     return requested, resolved
 
 
-def _experiment_worker(item: tuple[str, float]) -> tuple[str, str]:
-    """Worker for ``megsim all --jobs N``: run one whole experiment."""
-    name, scale = item
-    kwargs = {} if name == "table1" else {"scale": scale}
-    with span("experiment.cli", experiment=name):
-        result = run_experiment(name, **kwargs)
-    return name, result.report
-
-
 def _dispatch(args: argparse.Namespace) -> int:
     """Execute one parsed command; returns the process exit code.
 
@@ -617,7 +606,9 @@ def _run_command(args: argparse.Namespace) -> int:
         return lint_main(argv)
 
     if args.command == "run":
-        kwargs = {} if args.experiment == "table1" else {"scale": args.scale}
+        experiment = EXPERIMENTS[args.experiment]
+        takes_scale = "scale" in inspect.signature(experiment).parameters
+        kwargs = {"scale": args.scale} if takes_scale else {}
         if args.workload is not None:
             if args.experiment not in ("fig5", "fig6"):
                 raise ConfigError(
@@ -627,43 +618,6 @@ def _run_command(args: argparse.Namespace) -> int:
             kwargs["alias"] = _resolve_workload_arg(args.workload)
         result = run_experiment(args.experiment, **kwargs)
         print(result.report)
-        return 0
-
-    if args.command == "all":
-        total = len(EXPERIMENTS)
-        pool = ParallelConfig.from_cli(args.jobs)
-        if pool.jobs > 1:
-            # Whole experiments fan out across workers; reports are
-            # merged and printed in the registry order, so output is
-            # identical to a serial run minus the progress lines.
-            print(
-                f"running {total} experiments across {pool.jobs} workers",
-                flush=True,
-            )
-            outcomes = parallel_map(
-                _experiment_worker,
-                [(name, args.scale) for name in EXPERIMENTS],
-                parallel=pool,
-            )
-            for index, (name, report) in enumerate(outcomes, 1):
-                print(f"[{index}/{total}] {name}", flush=True)
-                print(report)
-                print()
-            return 0
-        for index, name in enumerate(EXPERIMENTS, 1):
-            # One line per experiment (before and after) so a hung or slow
-            # experiment is identifiable mid-run.
-            print(f"[{index}/{total}] {name} ...", flush=True)
-            kwargs = {} if name == "table1" else {"scale": args.scale}
-            with span("experiment.cli", experiment=name) as timing:
-                result = run_experiment(name, **kwargs)
-            print(result.report)
-            print(
-                f"[{index}/{total}] {name} done in "
-                f"{timing.elapsed_seconds:.2f}s",
-                flush=True,
-            )
-            print()
         return 0
 
     if args.command == "plan":
@@ -861,14 +815,14 @@ def _bench(args: argparse.Namespace) -> int:
         render_bench_report,
         render_comparison,
         run_suite,
+        artifact_name,
         write_artifact,
     )
-    from repro.benchmark_support import artifact_name
 
     if args.list_benches:
         for name, spec in BENCHES.items():
             suites = ",".join(spec.suites)
-            print(f"{name:<10s} [{suites:<11s}] {spec.description}")
+            print(f"{name:<24s} [{suites:<11s}] {spec.description}")
         return 0
 
     artifact = run_suite(
@@ -877,11 +831,15 @@ def _bench(args: argparse.Namespace) -> int:
         parallel=ParallelConfig.from_cli(args.jobs),
         jobs_requested=args.jobs or os.environ.get(JOBS_ENV_VAR),
         warm=args.warm,
+        reports=args.reports,
     )
     out = args.out if args.out else artifact_name(args.suite)
     write_artifact(artifact, out)
     print(render_bench_report(artifact))
     print(f"wrote {out}")
+    if args.reports:
+        print(f"wrote {len(artifact['benchmarks'])} report(s) to "
+              f"{args.reports}")
 
     if args.baseline:
         deltas = compare_artifacts(

@@ -42,6 +42,10 @@ class AnalysisError(ReproError):
     """An experiment or analysis step received inconsistent inputs."""
 
 
+class BenchError(ReproError):
+    """A benchmark's result breaks one of its spec's paper-shape claims."""
+
+
 class ServiceError(ReproError):
     """The experiment service was misused or its database is unusable.
 

@@ -14,10 +14,9 @@ to the serial run (the contract, and how it is kept, is documented in
 * :func:`profile_parallel` — the functional pass, fanned out in frame
   chunks (layer 1 of the pipeline).
 
-Whole-experiment fan-out (layer 2) lives with the entry points that own
-the experiment list: ``megsim all --jobs N`` and
-``scripts/run_full_experiments.py --jobs N`` dispatch experiments
-through :func:`parallel_map` directly.
+Whole-experiment fan-out (layer 2) lives with the entry point that owns
+the experiment list: ``megsim bench --jobs N`` dispatches benchmark
+specs through :func:`parallel_map` directly (:mod:`repro.bench`).
 
 Quickstart::
 

@@ -6,7 +6,7 @@ The store's first tier holds live Python objects keyed by
 callers have always relied on.  Unlike the module-level dictionaries it
 replaces, the tier is a bounded LRU: traces and per-frame statistics of
 long-retired evaluations are evicted instead of accumulating for the
-lifetime of a ``megsim all`` process.
+lifetime of a ``megsim bench --warm`` process.
 """
 
 from __future__ import annotations

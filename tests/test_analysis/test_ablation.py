@@ -17,9 +17,10 @@ def fresh_cache():
 
 class TestWeightAblation:
     def test_all_variants_run(self):
-        points, report = weight_ablation("hcr", scale=SCALE)
+        result = weight_ablation("hcr", scale=SCALE)
+        points = result.data["points"]
         assert len(points) == 4
-        assert "uniform" in report
+        assert "uniform" in result.report
         for point in points:
             assert point.selected_frames >= 1
             assert all(e >= 0 for e in point.errors.values())
@@ -29,32 +30,31 @@ class TestRenderingModeStudy:
     def test_modes_compared(self):
         from repro.analysis.ablation import rendering_mode_study
 
-        points, report = rendering_mode_study("hcr", scale=SCALE)
-        by_mode = {p.mode: p for p in points}
+        result = rendering_mode_study("hcr", scale=SCALE)
+        by_mode = {p.mode: p for p in result.data["points"]}
         assert set(by_mode) == {"tbr", "tbdr", "imr"}
         assert by_mode["tbdr"].fragments_shaded < by_mode["tbr"].fragments_shaded
-        assert "Rendering-mode study" in report
+        assert "Rendering-mode study" in result.report
 
 
 class TestScaleConvergence:
     def test_reduction_grows_with_length(self):
         from repro.analysis.ablation import scale_convergence_study
 
-        points, report = scale_convergence_study(
-            "hcr", scales=(0.02, 0.06)
-        )
+        result = scale_convergence_study("hcr", scales=(0.02, 0.06))
+        points = result.data["points"]
         assert points[-1].reduction > points[0].reduction
-        assert "convergence" in report
+        assert "convergence" in result.report
 
 
 class TestThresholdSweep:
     def test_monotone_frames_in_threshold(self):
-        points, _ = threshold_sweep(
+        result = threshold_sweep(
             "hcr", thresholds=(0.3, 0.85, 1.0), scale=SCALE
         )
-        frames = [p.selected_frames for p in points]
+        frames = [p.selected_frames for p in result.data["points"]]
         assert frames == sorted(frames)
 
     def test_report_mentions_tradeoff(self):
-        _, report = threshold_sweep("hcr", thresholds=(0.85,), scale=SCALE)
-        assert "T=0.85" in report
+        result = threshold_sweep("hcr", thresholds=(0.85,), scale=SCALE)
+        assert "T=0.85" in result.report

@@ -36,6 +36,10 @@ class TestRegistry:
             "table1", "table2", "table3", "table4",
             "fig3", "fig4", "fig5", "fig6", "fig7", "speedup",
             "backend_compare", "adversarial",
+            "weight_ablation", "threshold_sweep", "cluster_method_study",
+            "warmup_study", "rendering_mode_study",
+            "scale_convergence_study", "phase_recovery_study",
+            "parallel_scaling",
         }
 
     def test_unknown_experiment(self):

@@ -38,13 +38,12 @@ class TestStudy:
         assert set(labels) <= {p.name for p in spec.phases}
 
     def test_recovery_on_small_benchmarks(self):
-        results, report = phase_recovery_study(
-            aliases=("hcr", "jjo"), scale=0.05
-        )
+        study = phase_recovery_study(aliases=("hcr", "jjo"), scale=0.05)
+        results = study.data["results"]
         assert len(results) == 2
         for result in results:
             # Clusters should track the true phases far better than chance
             # and each cluster should be dominated by one phase.
             assert result.ari > 0.2, result.alias
             assert result.homogeneity > 0.7, result.alias
-        assert "ARI" in report
+        assert "ARI" in study.report

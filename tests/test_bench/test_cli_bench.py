@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import json
 
-from repro.bench import load_artifact
+from repro.analysis.experiments import run_experiment
+from repro.bench import load_artifact, run_suite
 from repro.cli import main
 
 
@@ -57,6 +58,32 @@ class TestRun:
             "bench", "--out", str(out), "--metrics", str(metrics),
         ]) == 0
         assert "# TYPE " in metrics.read_text()
+
+
+class TestReports:
+    def test_one_report_per_selected_spec(self, tiny_registry, tmp_path):
+        reports = tmp_path / "reports"
+        assert main([
+            "bench", "--out", str(tmp_path / "a.json"),
+            "--reports", str(reports),
+        ]) == 0
+        # Both tiny specs wrap table1; each file is its report verbatim.
+        expected = run_experiment("table1").report + "\n"
+        assert sorted(path.name for path in reports.iterdir()) == [
+            "tiny1.txt", "tiny2.txt",
+        ]
+        for path in reports.iterdir():
+            assert path.read_text() == expected
+
+    def test_only_selected_specs_are_written(self, tiny_registry, tmp_path):
+        run_suite("smoke", names=["tiny2"], reports=tmp_path)
+        assert [path.name for path in tmp_path.iterdir()] == ["tiny2.txt"]
+
+    def test_no_reports_without_the_flag(self, tiny_registry, tmp_path,
+                                         monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["bench", "--out", "a.json"]) == 0
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["a.json"]
 
 
 class TestCompareGate:

@@ -133,6 +133,15 @@ class TestGating:
         with pytest.raises(ConfigError):
             compare_artifacts(_artifact(), _artifact(), threshold=0.9)
 
+    @pytest.mark.parametrize("key, other", [("suite", "full"), ("scale", 0.02)])
+    def test_suite_or_scale_mismatch_rejected(self, key, other):
+        current = _artifact()
+        current[key] = other
+        with pytest.raises(ConfigError) as excinfo:
+            compare_artifacts(current, _artifact())
+        assert repr(other) in str(excinfo.value)
+        assert repr(_artifact()[key]) in str(excinfo.value)
+
 
 class TestLoadArtifact:
     def test_round_trip(self, tmp_path):

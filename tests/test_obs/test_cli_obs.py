@@ -1,4 +1,4 @@
-"""CLI observability: --profile, --trace, MEGSIM_TRACE, `all` progress."""
+"""CLI observability: --profile, --trace, MEGSIM_TRACE."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import json
 import pytest
 
 import repro.cli as cli
-from repro.analysis.experiments import ExperimentResult
 from repro.obs import get_collector
 
 
@@ -81,21 +80,3 @@ class TestTraceFlag:
         assert {"cli.plan", "functional.profile", "megsim.plan",
                 "cluster.search"} <= names
 
-
-class TestAllProgressLines:
-    def test_per_experiment_lines(self, capsys, monkeypatch):
-        fake = {
-            "expA": lambda **kw: ExperimentResult("expA", {}, "report A"),
-            "expB": lambda **kw: ExperimentResult("expB", {}, "report B"),
-        }
-        monkeypatch.setattr(cli, "EXPERIMENTS", fake)
-        monkeypatch.setattr(
-            cli, "run_experiment", lambda name, **kw: fake[name](**kw)
-        )
-        assert cli.main(["all", "--scale", "0.1"]) == 0
-        out = capsys.readouterr().out
-        assert "[1/2] expA ..." in out
-        assert "[2/2] expB ..." in out
-        assert "[1/2] expA done in" in out
-        assert "[2/2] expB done in" in out
-        assert "report A" in out and "report B" in out
