@@ -18,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from repro.analysis.result import ExperimentResult
+from repro.analysis.experiments import ExperimentResult
 from repro.analysis.runner import evaluate_benchmark
 from repro.analysis.tables import render_table
 from repro.core.features import FeatureOptions, PAPER_WEIGHTS
@@ -172,9 +172,7 @@ CONVERGENCE_FRACTIONS = (0.1, 0.25, 0.5, 1.0)
 
 
 def scale_convergence_study(
-    alias: str = "jjo",
-    scale: float = 1.0,
-    scales: tuple[float, ...] | None = None,
+    alias: str = "jjo", scale: float = 1.0
 ) -> ExperimentResult:
     """How sampling behaves as the sequence grows.
 
@@ -185,12 +183,11 @@ def scale_convergence_study(
     days-long simulations into hours: the longer the capture, the bigger
     the win.
 
-    ``scales`` defaults to :data:`CONVERGENCE_FRACTIONS` of ``scale``.
+    The sequence lengths are :data:`CONVERGENCE_FRACTIONS` of ``scale``.
     """
-    if scales is None:
-        scales = tuple(round(f * scale, 6) for f in CONVERGENCE_FRACTIONS)
     points = []
-    for length in scales:
+    for fraction in CONVERGENCE_FRACTIONS:
+        length = round(fraction * scale, 6)
         evaluation = evaluate_benchmark(alias, scale=length)
         points.append(_point(
             f"scale={length} ({evaluation.trace.frame_count} frames)",

@@ -6,8 +6,9 @@ Every experiment returns an :class:`ExperimentResult` holding structured
 Paper reference values are embedded so reports show paper-vs-measured
 side by side.  :data:`EXPERIMENTS` also registers the ablation and
 extension studies (:mod:`repro.analysis.ablation`,
-:mod:`repro.analysis.phase_recovery`) and the parallel-scaling
-measurement, so every experiment runs through one registry.
+:mod:`repro.analysis.phase_recovery`, imported on their first run) and
+the parallel-scaling measurement, so every experiment runs through one
+registry.
 
 The ``scale`` argument shortens every sequence while preserving its phase
 structure; ``scale=1.0`` reproduces the paper's full frame counts (used for
@@ -16,26 +17,18 @@ EXPERIMENTS.md), smaller values keep the bench suites fast.
 
 from __future__ import annotations
 
+import importlib
 import math
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from repro.analysis.ablation import (
-    cluster_method_study,
-    rendering_mode_study,
-    scale_convergence_study,
-    threshold_sweep,
-    warmup_study,
-    weight_ablation,
-)
-from repro.analysis.phase_recovery import phase_recovery_study
 from repro.analysis.random_study import (
     megsim_error_distribution,
     random_frames_for_error,
 )
 from repro.analysis.metrics import percentile_abs_error
-from repro.analysis.result import ExperimentResult
 from repro.analysis.runner import evaluate_benchmark
 from repro.analysis.tables import render_bars, render_grouped_bars, render_table
 from repro.core.correlation import multiple_correlation, pearson_correlation
@@ -81,6 +74,15 @@ PAPER_FIG7_AVG = {
 }
 #: Figure 4 paper average power fractions (Geometry, Raster, Tiling).
 PAPER_FIG4_AVG = (0.108, 0.745, 0.147)
+
+
+@dataclass(frozen=True)
+class ExperimentResult:
+    """Structured data plus a printable report for one experiment."""
+
+    name: str
+    data: dict
+    report: str
 
 
 def _pct(x: float) -> str:
@@ -239,11 +241,14 @@ def fig4_power(scale: float = 1.0) -> ExperimentResult:
 
 #: Frames of the bbr prefix the paper's Figures 5 and 6 analyse.
 FIG56_FRAMES = 900
+#: Fewest frames a scaled Figure 5/6 prefix analyses.
+MIN_SCALED_FRAMES = 40
 
 
-def scaled_frames(frames: int, scale: float, minimum: int = 40) -> int:
-    """Scale a paper frame count to a run's ``scale`` (at least ``minimum``)."""
-    return max(minimum, round(frames * scale))
+def scaled_frames(frames: int, scale: float) -> int:
+    """Scale a paper frame count to a run's ``scale`` (at least
+    :data:`MIN_SCALED_FRAMES`)."""
+    return max(MIN_SCALED_FRAMES, round(frames * scale))
 
 
 def fig5_similarity(alias: str = "bbr1", frames: int | None = None,
@@ -691,6 +696,18 @@ def parallel_scaling() -> ExperimentResult:
     )
 
 
+def _study(module: str, name: str) -> Callable[..., ExperimentResult]:
+    """Register a study of ``repro.analysis.<module>`` without importing
+    it: the module loads on the first run, not with this registry."""
+    def run(scale: float = 1.0, **kwargs) -> ExperimentResult:
+        study = getattr(
+            importlib.import_module(f"repro.analysis.{module}"), name
+        )
+        return study(scale=scale, **kwargs)
+    run.__name__ = run.__qualname__ = name
+    return run
+
+
 #: Experiment registry: name -> callable.
 EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {
     "table1": table1_config,
@@ -705,13 +722,13 @@ EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {
     "speedup": speedup,
     "adversarial": adversarial,
     "backend_compare": backend_compare,
-    "weight_ablation": weight_ablation,
-    "threshold_sweep": threshold_sweep,
-    "cluster_method_study": cluster_method_study,
-    "warmup_study": warmup_study,
-    "rendering_mode_study": rendering_mode_study,
-    "scale_convergence_study": scale_convergence_study,
-    "phase_recovery_study": phase_recovery_study,
+    "weight_ablation": _study("ablation", "weight_ablation"),
+    "threshold_sweep": _study("ablation", "threshold_sweep"),
+    "cluster_method_study": _study("ablation", "cluster_method_study"),
+    "warmup_study": _study("ablation", "warmup_study"),
+    "rendering_mode_study": _study("ablation", "rendering_mode_study"),
+    "scale_convergence_study": _study("ablation", "scale_convergence_study"),
+    "phase_recovery_study": _study("phase_recovery", "phase_recovery_study"),
     "parallel_scaling": parallel_scaling,
 }
 

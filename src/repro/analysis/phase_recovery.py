@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.result import ExperimentResult
+from repro.analysis.experiments import ExperimentResult
 from repro.analysis.tables import render_table
 from repro.core.rand_index import adjusted_rand_index
 from repro.core.sampler import MEGsim, MEGsimOptions

@@ -10,11 +10,12 @@
   :func:`suite_scale` / :func:`artifact_name` — per-suite defaults
   (:mod:`repro.bench.registry`).
 * :func:`run_suite` / :func:`write_artifact` /
-  :func:`render_bench_report` — run a suite (``smoke`` or ``full``),
-  optionally writing each experiment's text report, and emit a
-  schema-versioned ``BENCH_<suite>.json`` artifact whose deterministic
-  *results* section is byte-identical for any ``--jobs`` value
-  (:mod:`repro.bench.harness`).
+  :func:`render_bench_report` / :func:`raise_for_failures` — run a
+  suite (``smoke`` or ``full``), optionally writing each experiment's
+  text report, and emit a schema-versioned ``BENCH_<suite>.json``
+  artifact whose deterministic *results* section is byte-identical for
+  any ``--jobs`` value; failed claims are recorded in it, and raised
+  once everything is written (:mod:`repro.bench.harness`).
 * :func:`compare_artifacts` / :func:`regressions` /
   :func:`render_comparison` / :func:`load_artifact` — gate a fresh
   artifact against a checked-in baseline; accuracy and work-count
@@ -23,9 +24,12 @@
 
 Quickstart::
 
-    from repro.bench import compare_artifacts, regressions, run_suite
+    from repro.bench import (
+        compare_artifacts, raise_for_failures, regressions, run_suite,
+    )
 
     artifact = run_suite("smoke")
+    raise_for_failures(artifact)
     deltas = compare_artifacts(artifact, baseline, threshold=1.15)
     assert not regressions(deltas)
 
@@ -43,6 +47,7 @@ from repro.bench.compare import (
 from repro.bench.harness import (
     BENCH_SCHEMA,
     BENCH_SCHEMA_VERSION,
+    raise_for_failures,
     render_bench_report,
     run_suite,
     write_artifact,
@@ -74,6 +79,7 @@ __all__ = [
     "bench_names",
     "compare_artifacts",
     "load_artifact",
+    "raise_for_failures",
     "regressions",
     "render_bench_report",
     "render_comparison",

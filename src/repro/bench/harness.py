@@ -35,7 +35,7 @@ from pathlib import Path
 
 from repro.bench.registry import BENCHES, bench_names, suite_scale
 from repro.core.sampler import MEGsimOptions
-from repro.errors import ConfigError
+from repro.errors import BenchError, ConfigError, ReproError
 from repro.obs import (
     MetricsRegistry,
     RunManifest,
@@ -90,7 +90,7 @@ def _subtree_timings(record: Span) -> list[dict]:
     ]
 
 
-def _run_spec(name: str) -> tuple[dict, str]:
+def _run_spec(name: str) -> tuple[dict | None, str | None, str | None]:
     """Run one registered benchmark and check its claims.
 
     This is the :func:`~repro.parallel.parallel_map` worker: the same
@@ -98,10 +98,11 @@ def _run_spec(name: str) -> tuple[dict, str]:
     ``jobs>1``, reading the suite scale from the shared worker state.
 
     Returns:
-        The benchmark's artifact section and the experiment's text report.
-
-    Raises:
-        BenchError: when the result breaks one of the spec's claims.
+        The benchmark's artifact section, the experiment's text report
+        and its failure: every claim the result breaks, or the library
+        error the experiment raised (section and report are then
+        ``None``); ``None`` when it passed.  A failure is returned, not
+        raised, so one broken spec does not discard the others' results.
     """
     spec = BENCHES[name]
     scale = float(get_state("scale"))
@@ -111,10 +112,21 @@ def _run_spec(name: str) -> tuple[dict, str]:
     # nor on what a previous session left in MEGSIM_STORE.  Warm runs
     # deliberately share the persistent store instead.
     store = get_store() if warm else memory_store()
-    with store_scope(store):
-        with span(f"bench.{name}", benchmark=name, scale=scale) as timing:
-            result, outcome = spec.run(scale)
-    spec.check_claims(result, scale)
+    try:
+        with store_scope(store):
+            with span(f"bench.{name}", benchmark=name,
+                      scale=scale) as timing:
+                result, outcome = spec.run(scale)
+    except ReproError as exc:
+        return None, None, (
+            f"benchmark {name!r}: experiment raised "
+            f"{type(exc).__name__}: {exc}"
+        )
+    try:
+        spec.check_claims(result, scale)
+        failure = None
+    except BenchError as exc:
+        failure = str(exc)
 
     local = MetricsRegistry()
     metrics: dict[str, dict] = {}
@@ -148,7 +160,7 @@ def _run_spec(name: str) -> tuple[dict, str]:
             "timing_info": dict(outcome.timing_info),
         },
     }
-    return section, result.report
+    return section, result.report, failure
 
 
 def run_suite(
@@ -177,13 +189,21 @@ def run_suite(
         reports: directory receiving each benchmark's text report as
             ``<name>.txt`` (the CLI's ``--reports``); ``None`` writes none.
 
+    Specs whose claims compare wall-clock times (``BenchSpec.wall_clock``)
+    run alone in this process once the pooled specs have finished, so
+    no other spec competes for their CPUs.
+
+    A broken claim or a library error raised by an experiment does not
+    stop the suite: every other spec still runs and writes its report,
+    and ``artifact["failures"]`` maps each failed spec to its message.
+    :func:`raise_for_failures` turns that into a :class:`BenchError`.
+
     Returns:
         The artifact as a plain dictionary (see the module docstring for
         the results/timing split); :func:`write_artifact` serializes it.
 
     Raises:
         ConfigError: on an unknown suite or benchmark name.
-        BenchError: when a benchmark's result breaks one of its claims.
     """
     selected = list(names) if names is not None else bench_names(suite)
     for name in selected:
@@ -215,12 +235,15 @@ def run_suite(
         with span(
             f"bench.suite.{suite}", suite=suite, scale=resolved_scale
         ) as total:
-            outcomes = parallel_map(
-                _run_spec,
-                selected,
-                parallel=config,
-                state={"scale": resolved_scale, "warm": warm},
-            )
+            state = {"scale": resolved_scale, "warm": warm}
+            pooled = [n for n in selected if not BENCHES[n].wall_clock]
+            alone = [n for n in selected if BENCHES[n].wall_clock]
+            outcomes = dict(zip(pooled, parallel_map(
+                _run_spec, pooled, parallel=config, state=state
+            )))
+            outcomes.update(zip(alone, parallel_map(
+                _run_spec, alone, state=state
+            )))
         manifest.finish(collector)
         registry = {
             name: {
@@ -234,8 +257,10 @@ def run_suite(
     if reports is not None:
         directory = Path(reports)
         directory.mkdir(parents=True, exist_ok=True)
-        for name, (_, report) in zip(selected, outcomes):
-            (directory / f"{name}.txt").write_text(report + "\n")
+        for name in selected:
+            report = outcomes[name][1]
+            if report is not None:
+                (directory / f"{name}.txt").write_text(report + "\n")
 
     return {
         "schema": BENCH_SCHEMA,
@@ -243,12 +268,31 @@ def run_suite(
         "suite": suite,
         "scale": resolved_scale,
         "benchmarks": {
-            name: section for name, (section, _) in zip(selected, outcomes)
+            name: outcomes[name][0] for name in selected
+            if outcomes[name][0] is not None
+        },
+        "failures": {
+            name: outcomes[name][2] for name in selected
+            if outcomes[name][2] is not None
         },
         "metrics": registry,
         "total_wall_seconds": total.elapsed_seconds,
         "manifest": manifest.to_dict(),
     }
+
+
+def raise_for_failures(artifact: dict) -> None:
+    """Raise if any spec of ``artifact`` failed.
+
+    Raises:
+        BenchError: listing every failed claim and experiment error.
+    """
+    failures = artifact.get("failures", {})
+    if failures:
+        raise BenchError(
+            f"{len(failures)} benchmark(s) failed:\n"
+            + "\n".join(failures.values())
+        )
 
 
 def write_artifact(artifact: dict, path) -> Path:
@@ -284,4 +328,7 @@ def render_bench_report(artifact: dict) -> str:
             parts.append(f"{key}={value:.4g}")
         detail = f"  [{', '.join(parts)}]" if parts else ""
         lines.append(f"  {name:<24s} {wall:8.2f}s{detail}")
+    failures = artifact.get("failures", {})
+    if failures:
+        lines.append(f"FAILED: {', '.join(failures)}")
     return "\n".join(lines)

@@ -71,20 +71,19 @@ class Claim:
 
     Attributes:
         text: the measured quantity in words (named on failure).
-        measure: ``data -> value`` over ``ExperimentResult.data``;
-            ``None`` when this run cannot measure the claim (a host
-            with fewer CPUs than the claim needs).
+        measure: ``(data, scale) -> value`` over
+            ``ExperimentResult.data``; ``None`` when the claim does not
+            apply to this run (too small a scale, or a host with fewer
+            CPUs than the claim needs).
         op: how ``value`` must compare with ``bound``: ``<``, ``<=``,
             ``>``, ``>=`` or ``==``.
         bound: a number, or ``scale -> number`` for a scale-aware bound.
-        min_scale: the claim is only checked at ``scale >= min_scale``.
     """
 
     text: str
-    measure: Callable[[dict], float | None]
+    measure: Callable[[dict, float], float | None]
     op: str
     bound: float | Callable[[float], float]
-    min_scale: float = 0.0
 
     def enforce(self, spec: str, data: dict, scale: float) -> None:
         """Raise unless the claim holds (or does not apply to this run).
@@ -93,9 +92,7 @@ class Claim:
             BenchError: naming the spec, the claim, the measured value
                 and the bound it missed.
         """
-        if scale < self.min_scale:
-            return
-        value = self.measure(data)
+        value = self.measure(data, scale)
         if value is None:
             return
         bound = self.bound(scale) if callable(self.bound) else self.bound
@@ -140,6 +137,9 @@ class BenchSpec:
         params: extra keyword arguments for the experiment (recorded in
             the artifact, so parameterized variants are attributable).
         scaled: whether the experiment accepts a ``scale`` argument.
+        wall_clock: its claims compare wall-clock times, so a suite runs
+            it alone, in the calling process, after every other spec has
+            finished (see :func:`repro.bench.harness.run_suite`).
         extract: ``ExperimentResult -> BenchOutcome``.
         claims: paper-shape checks :meth:`check_claims` runs on the result.
     """
@@ -150,6 +150,7 @@ class BenchSpec:
     description: str
     params: dict = field(default_factory=dict)
     scaled: bool = True
+    wall_clock: bool = False
     extract: Callable[[ExperimentResult], BenchOutcome] = (
         lambda result: BenchOutcome()
     )
@@ -167,10 +168,17 @@ class BenchSpec:
         """Check every claim against ``result``.
 
         Raises:
-            BenchError: on the first claim that does not hold.
+            BenchError: listing every claim that does not hold, one per
+                line.
         """
+        failures = []
         for claim in self.claims:
-            claim.enforce(self.name, result.data, scale)
+            try:
+                claim.enforce(self.name, result.data, scale)
+            except BenchError as exc:
+                failures.append(str(exc))
+        if failures:
+            raise BenchError("\n".join(failures))
 
 
 # ----------------------------------------------------------------------
@@ -355,29 +363,41 @@ def _extract_parallel_scaling(result: ExperimentResult) -> BenchOutcome:
 
 
 # ----------------------------------------------------------------------
-# Claim measures and scale-aware bounds: ExperimentResult.data -> value.
+# Claim measures and scale-aware bounds: (ExperimentResult.data, scale)
+# -> value.
 # ----------------------------------------------------------------------
 
-def _smallest(key: str) -> Callable[[dict], float]:
+def _smallest(key: str) -> Callable[[dict, float], float]:
     """The smallest per-benchmark ``key`` of an experiment's rows."""
-    return lambda data: min(row[key] for row in _per_alias(data).values())
+    return lambda data, scale: min(
+        row[key] for row in _per_alias(data).values()
+    )
 
 
-def _cycles_per_frame_3d_over_2d(data: dict) -> float:
+def _from_scale(
+    minimum: float, measure: Callable[[dict, float], float]
+) -> Callable[[dict, float], float | None]:
+    """``measure``, applicable only at ``scale >= minimum``."""
+    return lambda data, scale: (
+        measure(data, scale) if scale >= minimum else None
+    )
+
+
+def _cycles_per_frame_3d_over_2d(data: dict, scale: float) -> float:
     """asp's cycles per frame over the heaviest 2D game's (Table II)."""
     per_frame = {alias: row["cycles_millions"] / row["frames"]
                  for alias, row in _per_alias(data).items()}
     return per_frame["asp"] / max(per_frame[a] for a in ("hcr", "jjo", "pvz"))
 
 
-def _diagonal_band(data: dict) -> float:
+def _diagonal_band(data: dict, scale: float) -> float:
     """Mean adjacent-frame distance over the mean distance of all pairs."""
     distances = data["distances"]
     upper = distances[np.triu_indices(distances.shape[0], k=1)]
     return float(np.diagonal(distances, offset=1).mean() / upper.mean())
 
 
-def _label_changes(data: dict) -> float:
+def _label_changes(data: dict, scale: float) -> float:
     """Cluster-label changes along the diagonal, per analysed frame."""
     labels = data["labels"]
     return int(np.count_nonzero(np.diff(labels))) / len(labels)
@@ -395,41 +415,43 @@ def _fig7_budget(scale: float) -> float:
     return 0.035 if scale >= 1.0 else 0.06
 
 
-def _points_min(attr: str, rows: str = "points") -> Callable[[dict], float]:
+def _points_min(
+    attr: str, rows: str = "points"
+) -> Callable[[dict, float], float]:
     """The smallest ``attr`` over a study's row objects."""
-    return lambda data: min(getattr(row, attr) for row in data[rows])
+    return lambda data, scale: min(getattr(row, attr) for row in data[rows])
 
 
-def _worst_cycles_error(data: dict) -> float:
+def _worst_cycles_error(data: dict, scale: float) -> float:
     return max(p.errors["cycles"] for p in data["points"])
 
 
-def _frame_drops(data: dict) -> int:
+def _frame_drops(data: dict, scale: float) -> int:
     """Sweep steps where the selected frame count decreases."""
     frames = [p.selected_frames for p in data["points"]]
     return sum(after < before for before, after in zip(frames, frames[1:]))
 
 
-def _ratio(attr: str, label: str, over: str) -> Callable[[dict], float]:
+def _ratio(attr: str, label: str, over: str) -> Callable[[dict, float], float]:
     """``attr`` of the ``label`` point over that of the ``over`` point."""
-    def measure(data: dict) -> float:
+    def measure(data: dict, scale: float) -> float:
         by_label = {p.label: p for p in data["points"]}
         return getattr(by_label[label], attr) / getattr(by_label[over], attr)
     return measure
 
 
-def _last_over_first(attr: str) -> Callable[[dict], float]:
-    return lambda data: (getattr(data["points"][-1], attr)
-                         / getattr(data["points"][0], attr))
+def _last_over_first(attr: str) -> Callable[[dict, float], float]:
+    return lambda data, scale: (getattr(data["points"][-1], attr)
+                                / getattr(data["points"][0], attr))
 
 
-def _dram_error_growth(data: dict) -> float:
+def _dram_error_growth(data: dict, scale: float) -> float:
     """DRAM error at the largest warm-up minus the error with none."""
     first, last = data["points"][0], data["points"][-1]
     return last.errors["dram_accesses"] - first.errors["dram_accesses"]
 
 
-def _speedup_at_4(data: dict) -> float | None:
+def _speedup_at_4(data: dict, scale: float) -> float | None:
     """The 4-worker speedup, measurable only on hosts with 4+ CPUs."""
     return data["speedup"][4] if data["cpus"] >= 4 else None
 
@@ -458,9 +480,10 @@ BENCHES: dict[str, BenchSpec] = {
             extract=_extract_fig3,
             claims=(
                 Claim("average R(shaders)",
-                      lambda d: d["average"]["shaders"], ">", 0.9),
+                      lambda d, s: d["average"]["shaders"], ">", 0.9),
                 Claim("average r(PRIM) minus average R(shaders)",
-                      lambda d: d["average"]["prim"] - d["average"]["shaders"],
+                      lambda d, s: (d["average"]["prim"]
+                                    - d["average"]["shaders"]),
                       "<", 0.0),
             ),
         ),
@@ -470,11 +493,11 @@ BENCHES: dict[str, BenchSpec] = {
             extract=_extract_fig4,
             claims=(
                 Claim("average raster power fraction",
-                      lambda d: d["average"][1], ">", 0.6),
+                      lambda d, s: d["average"][1], ">", 0.6),
                 *(
                     Claim(f"|average {phase} fraction - paper "
                           f"{PAPER_FIG4_AVG[index]}|",
-                          lambda d, i=index: abs(d["average"][i]
+                          lambda d, s, i=index: abs(d["average"][i]
                                                  - PAPER_FIG4_AVG[i]),
                           "<", bound)
                     for index, phase, bound in (
@@ -500,7 +523,7 @@ BENCHES: dict[str, BenchSpec] = {
             params={"alias": "bbr1"},
             extract=_extract_fig6,
             claims=(
-                Claim("clusters chosen by BIC", lambda d: d["k"], ">=", 2),
+                Claim("clusters chosen by BIC", lambda d, s: d["k"], ">=", 2),
                 Claim("cluster-label changes per frame",
                       _label_changes, "<", 0.25),
             ),
@@ -513,7 +536,7 @@ BENCHES: dict[str, BenchSpec] = {
                 Claim("smallest per-benchmark reduction",
                       _smallest("reduction"), ">", _reduction_floor),
                 Claim("average reduction",
-                      lambda d: d["average_reduction"], ">",
+                      lambda d, s: d["average_reduction"], ">",
                       lambda scale: 2 * _reduction_floor(scale)),
             ),
         ),
@@ -523,7 +546,8 @@ BENCHES: dict[str, BenchSpec] = {
             extract=_extract_fig7,
             claims=tuple(
                 Claim(f"average {metric} relative error",
-                      lambda d, m=metric: d["average"][m], "<", _fig7_budget)
+                      lambda d, s, m=metric: d["average"][m], "<",
+                      _fig7_budget)
                 for metric in KEY_METRICS
             ),
         ),
@@ -534,23 +558,24 @@ BENCHES: dict[str, BenchSpec] = {
             extract=_extract_table4,
             claims=(
                 Claim("average random/MEGsim frame ratio",
-                      lambda d: d["average_reduction"], ">", 2.0),
+                      lambda d, s: d["average_reduction"], ">", 2.0),
                 Claim("smallest per-benchmark random/MEGsim frame ratio",
-                      _smallest("reduction"), ">", 1.0, min_scale=1.0),
+                      _from_scale(1.0, _smallest("reduction")), ">", 1.0),
             ),
         ),
         BenchSpec(
             name="speedup", experiment="speedup", suites=("smoke", "full"),
             description="Headline wall-clock speedup: full vs MEGsim",
             extract=_extract_speedup,
+            wall_clock=True,
             # Wall-clock claims: fixed clustering cost dominates tiny
             # sequences, so they hold from the full suite's scale up.
             claims=(
                 Claim("smallest per-benchmark wall-clock speedup",
-                      _smallest("speedup"), ">", 3.0, min_scale=0.2),
+                      _from_scale(0.2, _smallest("speedup")), ">", 3.0),
                 Claim("overall wall-clock speedup",
-                      lambda d: d["overall_speedup"], ">", 5.0,
-                      min_scale=0.2),
+                      _from_scale(0.2, lambda d, s: d["overall_speedup"]),
+                      ">", 5.0),
             ),
         ),
         BenchSpec(
@@ -597,7 +622,7 @@ BENCHES: dict[str, BenchSpec] = {
             extract=_extract_sweep,
             claims=(
                 Claim("strategies compared",
-                      lambda d: len(d["points"]), "==", 5),
+                      lambda d, s: len(d["points"]), "==", 5),
                 Claim("smallest reduction across strategies",
                       _points_min("reduction"), ">", 3.0),
                 Claim("largest cycles error across strategies",
@@ -669,12 +694,13 @@ BENCHES: dict[str, BenchSpec] = {
             suites=("full",),
             description="Functional-profile speedup at 1/2/4 workers",
             scaled=False,
+            wall_clock=True,
             extract=_extract_parallel_scaling,
             claims=(
                 Claim("profiled trace frames",
-                      lambda d: d["frames"], ">=", 512),
+                      lambda d, s: d["frames"], ">=", 512),
                 Claim("shortest best-round seconds",
-                      lambda d: min(d["seconds"].values()), ">", 0.0),
+                      lambda d, s: min(d["seconds"].values()), ">", 0.0),
                 Claim("speedup at 4 workers", _speedup_at_4, ">=", 2.0),
             ),
         ),

@@ -813,6 +813,7 @@ def _bench(args: argparse.Namespace) -> int:
         load_artifact,
         regressions,
         render_bench_report,
+        raise_for_failures,
         render_comparison,
         run_suite,
         artifact_name,
@@ -841,14 +842,18 @@ def _bench(args: argparse.Namespace) -> int:
         print(f"wrote {len(artifact['benchmarks'])} report(s) to "
               f"{args.reports}")
 
+    code = 0
     if args.baseline:
         deltas = compare_artifacts(
             artifact, load_artifact(args.baseline), threshold=args.threshold
         )
         print(render_comparison(deltas, threshold=args.threshold))
         if regressions(deltas):
-            return 1
-    return 0
+            code = 1
+    # Failed claims surface only after the artifact, every report and the
+    # comparison are written, so one broken spec loses nothing else.
+    raise_for_failures(artifact)
+    return code
 
 
 def _inspect(alias: str, scale: float) -> None:

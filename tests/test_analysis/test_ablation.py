@@ -41,7 +41,7 @@ class TestScaleConvergence:
     def test_reduction_grows_with_length(self):
         from repro.analysis.ablation import scale_convergence_study
 
-        result = scale_convergence_study("hcr", scales=(0.02, 0.06))
+        result = scale_convergence_study("hcr", scale=0.2)
         points = result.data["points"]
         assert points[-1].reduction > points[0].reduction
         assert "convergence" in result.report

@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bench import harness, registry
-from repro.bench.registry import BenchOutcome, BenchSpec
+from repro.bench.registry import BenchOutcome, BenchSpec, Claim
 
 
 def _extract_one(result) -> BenchOutcome:
@@ -56,3 +56,28 @@ def tiny_registry(monkeypatch):
     monkeypatch.setattr(registry, "BENCHES", TINY_BENCHES)
     monkeypatch.setattr(harness, "BENCHES", TINY_BENCHES)
     return TINY_BENCHES
+
+
+def _failing_spec(name: str, **fields) -> BenchSpec:
+    return BenchSpec(
+        name=name, experiment=fields.pop("experiment", "table1"),
+        suites=("smoke",), description=name, scaled=False, **fields,
+    )
+
+
+FAILING_BENCHES = {
+    "ok": _failing_spec("ok"),
+    "broken": _failing_spec("broken", claims=(
+        Claim("rows", lambda data, scale: len(data), "<", 0),
+    )),
+    "raises": _failing_spec("raises", experiment="no_such_experiment"),
+}
+
+
+@pytest.fixture
+def failing_registry(monkeypatch):
+    """A passing spec, one whose claim breaks, one whose experiment raises
+    (``run_experiment`` rejects the unknown name with AnalysisError)."""
+    monkeypatch.setattr(registry, "BENCHES", FAILING_BENCHES)
+    monkeypatch.setattr(harness, "BENCHES", FAILING_BENCHES)
+    return FAILING_BENCHES

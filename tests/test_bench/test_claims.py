@@ -236,8 +236,21 @@ def test_doctored_result_breaks_its_claim(spec, claim):
     assert "measured" in message
 
 
+def test_every_broken_claim_is_listed():
+    scale, data, doctors = CASES["fig3"]
+    doctored = copy.deepcopy(data)
+    for doctor in doctors.values():
+        doctor(doctored)
+    with pytest.raises(BenchError) as excinfo:
+        BENCHES["fig3"].check_claims(_result("fig3", doctored), scale)
+    lines = str(excinfo.value).splitlines()
+    assert len(lines) == len(doctors)
+    for claim, line in zip(doctors, lines):
+        assert repr(claim) in line
+
+
 class TestApplicability:
-    def test_wall_clock_claims_skip_below_their_scale(self):
+    def test_wall_clock_claims_do_not_apply_below_their_scale(self):
         scale, data, _ = CASES["speedup"]
         doctored = copy.deepcopy(data)
         doctored["overall_speedup"] = 1.0
@@ -254,7 +267,7 @@ class TestApplicability:
         )
 
     def test_scale_aware_bound(self):
-        claim = Claim("x", lambda data: data["x"], ">",
+        claim = Claim("x", lambda data, scale: data["x"], ">",
                       lambda scale: 10 * scale)
         claim.enforce("s", {"x": 5.0}, 0.4)
         with pytest.raises(BenchError, match="needs > 6"):

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.analysis.experiments import run_experiment
 from repro.bench import load_artifact, run_suite
 from repro.cli import main
+from repro.errors import BenchError
 
 
 def _deterministic(artifact: dict) -> str:
@@ -84,6 +87,22 @@ class TestReports:
         monkeypatch.chdir(tmp_path)
         assert main(["bench", "--out", "a.json"]) == 0
         assert sorted(path.name for path in tmp_path.iterdir()) == ["a.json"]
+
+
+class TestFailedClaims:
+    def test_raises_after_writing_everything(self, failing_registry,
+                                             tmp_path):
+        out = tmp_path / "a.json"
+        reports = tmp_path / "reports"
+        with pytest.raises(BenchError, match="2 benchmark"):
+            main(["bench", "--out", str(out), "--reports", str(reports),
+                  "--jobs", "2"])
+        artifact = load_artifact(out)
+        assert set(artifact["benchmarks"]) == {"ok", "broken"}
+        assert set(artifact["failures"]) == {"broken", "raises"}
+        assert sorted(path.name for path in reports.iterdir()) == [
+            "broken.txt", "ok.txt",
+        ]
 
 
 class TestCompareGate:

@@ -3,17 +3,24 @@
 from __future__ import annotations
 
 import json
+import os
+import time
 
 import pytest
 
 from repro.bench import (
     BENCH_SCHEMA,
     BENCH_SCHEMA_VERSION,
+    BenchOutcome,
+    BenchSpec,
+    harness,
+    raise_for_failures,
+    registry,
     render_bench_report,
     run_suite,
     write_artifact,
 )
-from repro.errors import ConfigError
+from repro.errors import BenchError, ConfigError
 from repro.obs import collecting
 from repro.parallel import ParallelConfig
 
@@ -125,3 +132,76 @@ class TestReport:
         report = render_bench_report(artifact)
         assert "tiny1" in report and "tiny2" in report
         assert "fingerprint" in report
+
+
+def _extract_where(result) -> BenchOutcome:
+    """Record which process ran the spec, and when it finished."""
+    return BenchOutcome(
+        info={"pid": os.getpid()},
+        timing_info={"finished": time.monotonic()},
+    )
+
+
+def _tiny(name: str, **fields) -> BenchSpec:
+    fields.setdefault("extract", _extract_where)
+    return BenchSpec(
+        name=name, experiment=fields.pop("experiment", "table1"),
+        suites=("smoke",), description=name, scaled=False, **fields,
+    )
+
+
+class TestFailures:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failures_are_recorded_not_raised(self, failing_registry,
+                                              tmp_path, jobs):
+        artifact = run_suite(
+            "smoke", parallel=ParallelConfig(jobs=jobs), reports=tmp_path
+        )
+        assert set(artifact["benchmarks"]) == {"ok", "broken"}
+        assert set(artifact["failures"]) == {"broken", "raises"}
+        assert "claim 'rows' fails" in artifact["failures"]["broken"]
+        assert "AnalysisError" in artifact["failures"]["raises"]
+        # Every spec that produced a report wrote it.
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "broken.txt", "ok.txt",
+        ]
+        assert "FAILED: broken, raises" in render_bench_report(artifact)
+
+    def test_raise_for_failures_lists_every_failure(self, failing_registry):
+        artifact = run_suite("smoke")
+        with pytest.raises(BenchError) as excinfo:
+            raise_for_failures(artifact)
+        message = str(excinfo.value)
+        assert message.startswith("2 benchmark(s) failed")
+        assert "'broken'" in message and "'raises'" in message
+
+    def test_passing_suite_records_no_failures(self, tiny_registry):
+        artifact = run_suite("smoke")
+        assert artifact["failures"] == {}
+        raise_for_failures(artifact)
+
+
+class TestWallClockSpecs:
+    def test_registry_marks_the_timed_specs(self):
+        from repro.bench import BENCHES
+
+        assert [name for name, spec in BENCHES.items()
+                if spec.wall_clock] == ["speedup", "parallel_scaling"]
+
+    def test_run_alone_after_the_pool(self, monkeypatch):
+        specs = {
+            "timed": _tiny("timed", wall_clock=True),
+            "pooled1": _tiny("pooled1"),
+            "pooled2": _tiny("pooled2"),
+        }
+        monkeypatch.setattr(registry, "BENCHES", specs)
+        monkeypatch.setattr(harness, "BENCHES", specs)
+        artifact = run_suite("smoke", parallel=ParallelConfig(jobs=2))
+        sections = artifact["benchmarks"]
+        # Registry order is kept in the artifact whatever the run order.
+        assert list(sections) == ["timed", "pooled1", "pooled2"]
+        assert sections["timed"]["results"]["info"]["pid"] == os.getpid()
+        for name in ("pooled1", "pooled2"):
+            assert sections[name]["results"]["info"]["pid"] != os.getpid()
+            assert (sections[name]["timing"]["timing_info"]["finished"]
+                    < sections["timed"]["timing"]["timing_info"]["finished"])
