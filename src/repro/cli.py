@@ -376,20 +376,12 @@ def build_parser() -> argparse.ArgumentParser:
         "lint", help="static analysis: determinism/layering/doc invariants"
     )
     lint.add_argument("--root", default=".",
-                      help="project root containing pyproject.toml")
+                      help="project root to lint (default: cwd)")
     lint.add_argument("--format", dest="lint_format",
                       choices=("text", "json"), default="text",
                       help="report format; json is sorted and machine-stable")
     lint.add_argument("--select", default="",
                       help="comma-separated rule ids to run (default: all)")
-    lint.add_argument("--disable", default="",
-                      help="comma-separated rule ids to skip")
-    lint.add_argument("--no-baseline", action="store_true",
-                      help="ignore the baseline suppression file")
-    lint.add_argument("--write-baseline", action="store_true",
-                      help="suppress every current finding in the baseline")
-    lint.add_argument("--strict", action="store_true",
-                      help="exit non-zero on warnings too")
     lint.add_argument("--list-rules", action="store_true",
                       help="print the rule catalog and exit")
     lint.add_argument("--effects", default="", metavar="MODULE:FUNC",
@@ -596,13 +588,10 @@ def _run_command(args: argparse.Namespace) -> int:
         argv = ["--root", args.root, "--format", args.lint_format]
         if args.select:
             argv += ["--select", args.select]
-        if args.disable:
-            argv += ["--disable", args.disable]
         if args.effects:
             argv += ["--effects", args.effects]
-        for flag in ("no_baseline", "write_baseline", "strict", "list_rules"):
-            if getattr(args, flag):
-                argv.append("--" + flag.replace("_", "-"))
+        if args.list_rules:
+            argv.append("--list-rules")
         return lint_main(argv)
 
     if args.command == "run":

@@ -1,4 +1,4 @@
-"""The lint engine: load project, run rules, apply baseline, report.
+"""The lint engine: load the project, run the rules, report.
 
 ``run_lint`` is the library entry point (used by the CLI and the
 test suite); ``main`` is the
@@ -14,11 +14,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.errors import ConfigError
-from repro.lint.baseline import load_baseline, split_findings, write_baseline
-from repro.lint.config import LintConfig, load_config
-from repro.lint.findings import Finding, Severity
+from repro.lint.config import LintConfig
+from repro.lint.findings import Finding
 from repro.lint.flow import get_flow
-from repro.lint.project import load_project
+from repro.lint.project import Project, load_project
 from repro.lint.reporters import render_json, render_text, sorted_findings
 from repro.lint.rules import ALL_RULES, Rule
 
@@ -31,67 +30,36 @@ class LintResult:
     """Outcome of one lint run.
 
     Attributes:
-        findings: active findings (not suppressed by the baseline).
-        baselined: findings silenced by the baseline file.
-        stale_keys: baseline entries that matched nothing this run.
+        findings: every finding, in the canonical reporting order.  Any
+            finding fails the run.
     """
 
     findings: list[Finding] = field(default_factory=list)
-    baselined: list[Finding] = field(default_factory=list)
-    stale_keys: list[str] = field(default_factory=list)
 
-    @property
-    def error_count(self) -> int:
-        return sum(
-            1 for f in self.findings if f.severity is Severity.ERROR
-        )
-
-    def exit_code(self, strict: bool = False) -> int:
-        """0 = clean; 1 = findings or stale baseline keys.
-
-        Stale baseline entries fail the run unconditionally: a
-        suppression that no longer matches anything must be deleted
-        (or the baseline rewritten), so suppressions cannot outlive
-        the findings they were written for.
-        """
-        if self.error_count or self.stale_keys or (strict and self.findings):
-            return 1
-        return 0
+    def exit_code(self) -> int:
+        """0 = clean; 1 = at least one finding."""
+        return 1 if self.findings else 0
 
 
-def select_rules(
-    select: tuple[str, ...] = (),
-    disable: tuple[str, ...] = (),
-) -> tuple[Rule, ...]:
+def select_rules(select: tuple[str, ...] = ()) -> tuple[Rule, ...]:
     """The subset of :data:`ALL_RULES` a run executes.
 
-    ``select`` keeps only the named rule ids (empty = all); ``disable``
-    then removes ids.  Unknown ids raise :class:`ConfigError` so typos
-    fail loudly.
+    ``select`` keeps only the named rule ids (empty = all).  Unknown ids
+    raise :class:`ConfigError` so typos fail loudly.
     """
     known = {rule.rule_id for rule in ALL_RULES}
-    for rule_id in (*select, *disable):
+    for rule_id in select:
         if rule_id not in known:
             raise ConfigError(
                 f"unknown lint rule id {rule_id!r}; known: {sorted(known)}"
             )
-    rules = tuple(
-        rule
-        for rule in ALL_RULES
-        if (not select or rule.rule_id in select)
-        and rule.rule_id not in disable
+    return tuple(
+        rule for rule in ALL_RULES if not select or rule.rule_id in select
     )
-    return rules
 
 
-def run_lint(
-    config: LintConfig,
-    select: tuple[str, ...] = (),
-    disable: tuple[str, ...] = (),
-    baseline: bool = True,
-) -> LintResult:
-    """Execute the configured rules over ``config.root``."""
-    project = load_project(config)
+def lint_project(project: Project, select: tuple[str, ...] = ()) -> LintResult:
+    """Execute the selected rules over an already loaded project."""
     findings: list[Finding] = [
         Finding(
             path=source.relpath,
@@ -102,13 +70,14 @@ def run_lint(
         for source in project.files
         if source.error is not None
     ]
-    for rule in select_rules(select, tuple(disable) + tuple(config.disable)):
+    for rule in select_rules(select):
         findings.extend(rule.check(project))
-    findings = sorted_findings(findings)
+    return LintResult(findings=sorted_findings(findings))
 
-    suppressed = load_baseline(config.baseline_path) if baseline else set()
-    active, baselined, stale = split_findings(findings, suppressed)
-    return LintResult(findings=active, baselined=baselined, stale_keys=stale)
+
+def run_lint(config: LintConfig, select: tuple[str, ...] = ()) -> LintResult:
+    """Execute the selected rules over ``config.root``."""
+    return lint_project(load_project(config), select)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -122,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--root", default=".",
-        help="project root containing pyproject.toml (default: cwd)",
+        help="project root to lint (default: cwd)",
     )
     parser.add_argument(
         "--format", choices=("text", "json"), default="text",
@@ -131,22 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--select", default="",
         help="comma-separated rule ids to run (default: all)",
-    )
-    parser.add_argument(
-        "--disable", default="",
-        help="comma-separated rule ids to skip",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore the baseline file (report grandfathered findings too)",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="rewrite the baseline to suppress every current finding",
-    )
-    parser.add_argument(
-        "--strict", action="store_true",
-        help="exit non-zero on warnings as well as errors",
     )
     parser.add_argument(
         "--list-rules", action="store_true",
@@ -198,46 +151,21 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{rule.rule_id}  {rule.name:16s} {rule.summary}")
         return 0
 
+    config = LintConfig(root=Path(args.root))
     if args.effects:
-        try:
-            return dump_effects(load_config(Path(args.root)), args.effects)
-        except ConfigError as exc:
-            print(f"megsim lint: configuration error: {exc}", file=sys.stderr)
-            return 2
+        return dump_effects(config, args.effects)
 
     try:
-        config = load_config(Path(args.root))
-        result = run_lint(
-            config,
-            select=_split_ids(args.select),
-            disable=_split_ids(args.disable),
-            baseline=not (args.no_baseline or args.write_baseline),
-        )
+        result = run_lint(config, select=_split_ids(args.select))
     except ConfigError as exc:
         print(f"megsim lint: configuration error: {exc}", file=sys.stderr)
         return 2
 
-    if args.write_baseline:
-        count = write_baseline(config.baseline_path, result.findings)
-        print(
-            f"megsim lint: wrote {count} suppression(s) to "
-            f"{config.baseline}"
-        )
-        return 0
-
     if args.format == "json":
-        sys.stdout.write(
-            render_json(
-                result.findings, len(result.baselined), result.stale_keys
-            )
-        )
+        sys.stdout.write(render_json(result.findings))
     else:
-        print(
-            render_text(
-                result.findings, len(result.baselined), result.stale_keys
-            )
-        )
-    return result.exit_code(strict=args.strict)
+        print(render_text(result.findings))
+    return result.exit_code()
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__.py

@@ -1,30 +1,14 @@
 """The currency of the linter: one :class:`Finding` per rule violation.
 
 A finding pins a rule violation to a file and line so it can be printed,
-serialized, sorted deterministically and matched against the baseline
-file.  Everything downstream of the rules (reporters, baseline,
-exit-code logic) traffics only in findings — rules never print.
+serialized and sorted deterministically.  Everything downstream of the
+rules (reporters, exit-code logic) traffics only in findings — rules
+never print.  Every finding fails the lint.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-
-
-class Severity(enum.Enum):
-    """How bad a finding is.
-
-    ``ERROR`` findings fail the lint (non-zero exit); ``WARNING``
-    findings are reported but do not affect the exit code unless
-    ``--strict`` promotes them.
-    """
-
-    WARNING = "warning"
-    ERROR = "error"
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
 
 
 @dataclass(frozen=True, order=True)
@@ -37,22 +21,19 @@ class Finding:
         line: 1-based line number; 0 for whole-file/project findings.
         rule_id: stable identifier, e.g. ``"MEG003"``.
         message: human-readable, single-line description.
-        severity: :class:`Severity` of the violation.
     """
 
     path: str
     line: int
     rule_id: str
     message: str
-    severity: Severity = Severity.ERROR
 
     @property
-    def baseline_key(self) -> str:
-        """The identity used by the suppression baseline.
+    def key(self) -> str:
+        """The line-free identity ``rule_id:path:message``.
 
-        Deliberately excludes the line number: baselined findings should
-        not resurface because unrelated edits shifted the file, so the
-        key is ``rule_id:path:message``.
+        Excludes the line number so that unrelated edits which shift a
+        finding do not change the report digest built from these keys.
         """
         return f"{self.rule_id}:{self.path}:{self.message}"
 
@@ -62,13 +43,9 @@ class Finding:
             "path": self.path,
             "line": self.line,
             "rule": self.rule_id,
-            "severity": self.severity.value,
             "message": self.message,
         }
 
     def render(self) -> str:
-        """The text-reporter line: ``path:line: MEGnnn [severity] message``."""
-        return (
-            f"{self.path}:{self.line}: {self.rule_id} "
-            f"[{self.severity.value}] {self.message}"
-        )
+        """The text-reporter line: ``path:line: MEGnnn message``."""
+        return f"{self.path}:{self.line}: {self.rule_id} {self.message}"

@@ -11,15 +11,11 @@ Three consumer rules sit on top of the summaries:
 
 * **MEG010** (cache purity) — every pipeline ``Stage.compute`` cone must
   be free of ambient inputs that the stage fingerprint does not capture;
-* **MEG011** (declared ambient) — ``# megsim: ambient(...)`` pragmas and
-  ``[tool.megsim-lint.ambient]`` allowlist entries are verified both
-  ways, so a stale declaration is a finding too;
+* **MEG011** (declared ambient) — ``# megsim: ambient(...)`` pragmas are
+  verified both ways, so a stale declaration is a finding too;
 * **MEG012** (worker boundary) — callables shipped through
   ``repro.parallel`` must be top-level, picklable, and their cones must
   neither touch ambient state nor mutate shared module globals.
-
-**MEG013** (migration lint) rides along in :mod:`repro.lint.flow.migrations`:
-it statically parses the SQL DDL of the service's migration chain.
 
 The analysis is deliberately conservative on dynamic dispatch: method
 calls whose receiver type cannot be resolved fan out to every project

@@ -6,10 +6,11 @@ plus two transitive closures over it:
 * **ambient** — effects visible *from the outside* of each function:
   its own direct effects plus everything its callees leak, minus any
   kind the function (or an enclosing declaration scope) *declares* via
-  a ``# megsim: ambient(...)`` pragma, a ``[tool.megsim-lint.ambient]``
-  allowlist entry, or a blanket ``ambient-paths``/``store-paths``
-  subtree.  A declaration *absorbs* the declared kinds at the declaring
-  function, so sanctioned ambient access does not propagate upward.
+  a ``# megsim: ambient(...)`` pragma or a blanket subtree
+  (:data:`~repro.lint.config.AMBIENT_PATHS`,
+  :data:`~repro.lint.config.STORE_PATHS`).  A declaration *absorbs* the
+  declared kinds at the declaring function, so sanctioned ambient access
+  does not propagate upward.
 * **raw** — the same closure with no absorption, used by MEG011 to
   prove that every declaration still matches a real effect (a stale
   declaration is itself a finding).
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 from collections import deque
 
+from repro.lint.config import AMBIENT_PATHS, STORE_PATHS
 from repro.lint.flow.callgraph import CallGraph, FunctionInfo
 from repro.lint.flow.effects import EFFECT_KINDS
 from repro.lint.project import Project
@@ -54,16 +56,10 @@ class FlowAnalysis:
     # -- declarations --------------------------------------------------
 
     def _declared_kinds(self, fn: FunctionInfo) -> frozenset[str]:
-        config = self.project.config
         kinds = {kind for kind in fn.pragma_kinds if kind in EFFECT_KINDS}
-        kinds.update(
-            kind
-            for kind in config.ambient.get(fn.display, ())
-            if kind in EFFECT_KINDS
-        )
-        if _under(fn.relpath, config.ambient_paths):
+        if _under(fn.relpath, AMBIENT_PATHS):
             kinds.update(EFFECT_KINDS)
-        if _under(fn.relpath, config.store_paths):
+        if _under(fn.relpath, STORE_PATHS):
             kinds.add("filesystem")
         return frozenset(kinds)
 

@@ -32,6 +32,7 @@ import re
 import tokenize
 from dataclasses import dataclass, field
 
+from repro.lint.config import PACKAGE_ROOT, WORKER_ENTRYPOINTS
 from repro.lint.flow.effects import (
     EFFECT_KINDS,
     FILESYSTEM_METHODS,
@@ -138,14 +139,13 @@ class CallGraph:
     """The resolved call graph plus per-function direct effects."""
 
     def __init__(self, project: Project) -> None:
-        config = project.config
         self.modules: dict[str, ModuleInfo] = {}
         self.functions: dict[str, FunctionInfo] = {}
         self.classes: dict[str, dict[str, str]] = {}  # class -> method map
         self.methods_by_name: dict[str, list[str]] = {}
         self.attr_types: dict[str, dict[str, str]] = {}
         self.ship_sites: list[ShipSite] = []
-        self.entrypoints = frozenset(config.worker_entrypoints)
+        self.entrypoints = frozenset(WORKER_ENTRYPOINTS)
         self._index(project)
         self._index_attr_types()
         self._extract(project)
@@ -156,7 +156,7 @@ class CallGraph:
         for source in project.files:
             if source.tree is None:
                 continue
-            name = module_name(source.relpath, project.config.package_root)
+            name = module_name(source.relpath, PACKAGE_ROOT)
             is_package = source.relpath.endswith("__init__.py")
             info = ModuleInfo(
                 name=name,

@@ -8,10 +8,10 @@ once per lint run — a different question about the same summaries.
   a stage fingerprint captures *every* input of its ``compute`` cone,
   so fingerprint equality really does imply output equality.
 * :class:`DeclaredAmbientRule` (MEG011) keeps the escape hatch honest:
-  every ``# megsim: ambient(...)`` pragma and every
-  ``[tool.megsim-lint.ambient]`` entry must attach to a real function,
-  use known effect kinds, and match an effect that is actually
-  reachable — a stale declaration is a finding, not a free pass.
+  every ``# megsim: ambient(...)`` pragma must attach to a real
+  function, use known effect kinds, and match an effect that is
+  actually reachable — a stale declaration is a finding, not a free
+  pass.
 * :class:`WorkerBoundaryRule` (MEG012) is the static race detector for
   the process pool: anything shipped through a worker entrypoint must
   be a top-level (picklable) function whose cone is ambient-clean.
@@ -22,8 +22,9 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
+from repro.lint.config import PACKAGE_ROOT, STAGES_MODULE
 from repro.lint.findings import Finding
-from repro.lint.flow.analysis import FlowAnalysis, get_flow
+from repro.lint.flow.analysis import get_flow
 from repro.lint.flow.effects import EFFECT_KINDS
 from repro.lint.flow.names import module_name
 from repro.lint.project import Project
@@ -67,12 +68,11 @@ class CachePurityRule:
     )
 
     def check(self, project: Project) -> Iterator[Finding]:
-        config = project.config
-        source = project.file_at(config.stages_module)
+        source = project.file_at(STAGES_MODULE)
         if source is None or source.tree is None:
             return
         flow = get_flow(project)
-        module = module_name(source.relpath, config.package_root)
+        module = module_name(source.relpath, PACKAGE_ROOT)
         for stage, compute, lineno in _stage_computes(source.tree):
             qualname = f"{module}.{compute}"
             fn = flow.function(qualname)
@@ -110,16 +110,12 @@ class DeclaredAmbientRule:
     rule_id = "MEG011"
     name = "declared-ambient"
     summary = (
-        "ambient pragmas and allowlist entries must attach to real "
-        "functions, use known kinds, and match reachable effects"
+        "ambient pragmas must attach to real functions, use known "
+        "kinds, and match reachable effects"
     )
 
     def check(self, project: Project) -> Iterator[Finding]:
         flow = get_flow(project)
-        yield from self._pragma_findings(flow)
-        yield from self._allowlist_findings(project, flow)
-
-    def _pragma_findings(self, flow: FlowAnalysis) -> Iterator[Finding]:
         for module in sorted(flow.graph.modules.values(),
                              key=lambda m: m.relpath):
             for pragma in module.pragmas:
@@ -147,80 +143,21 @@ class DeclaredAmbientRule:
                         ),
                     )
                     continue
-                yield from self._staleness(
-                    flow,
-                    pragma.attached_to,
-                    [k for k in pragma.kinds if k in EFFECT_KINDS],
-                    pragma.relpath,
-                    pragma.line,
-                    "pragma",
-                )
-
-    def _allowlist_findings(
-        self, project: Project, flow: FlowAnalysis
-    ) -> Iterator[Finding]:
-        displays = {
-            fn.display: qualname
-            for qualname, fn in flow.graph.functions.items()
-        }
-        for entry in sorted(project.config.ambient):
-            kinds = project.config.ambient[entry]
-            qualname = displays.get(entry)
-            if qualname is None:
-                yield Finding(
-                    path="pyproject.toml",
-                    line=0,
-                    rule_id=self.rule_id,
-                    message=(
-                        f"[tool.megsim-lint.ambient] entry '{entry}' "
-                        "matches no function (spell it module:qualname)"
-                    ),
-                )
-                continue
-            for kind in kinds:
-                if kind not in EFFECT_KINDS:
-                    yield Finding(
-                        path="pyproject.toml",
-                        line=0,
-                        rule_id=self.rule_id,
-                        message=(
-                            f"[tool.megsim-lint.ambient] entry '{entry}' "
-                            f"declares unknown effect kind '{kind}' "
-                            f"(known: {', '.join(EFFECT_KINDS)})"
-                        ),
-                    )
-            yield from self._staleness(
-                flow,
-                qualname,
-                [k for k in kinds if k in EFFECT_KINDS],
-                "pyproject.toml",
-                0,
-                "allowlist entry",
-            )
-
-    def _staleness(
-        self,
-        flow: FlowAnalysis,
-        qualname: str,
-        kinds: list[str],
-        path: str,
-        line: int,
-        what: str,
-    ) -> Iterator[Finding]:
-        reachable = {kind for kind, _, _ in flow.raw[qualname]}
-        display = flow.graph.functions[qualname].display
-        for kind in kinds:
-            if kind not in reachable:
-                yield Finding(
-                    path=path,
-                    line=line,
-                    rule_id=self.rule_id,
-                    message=(
-                        f"stale ambient {what}: '{display}' declares "
-                        f"'{kind}' but no {kind} effect is reachable "
-                        "from it"
-                    ),
-                )
+                target = pragma.attached_to
+                reachable = {kind for kind, _, _ in flow.raw[target]}
+                display = flow.graph.functions[target].display
+                for kind in pragma.kinds:
+                    if kind in EFFECT_KINDS and kind not in reachable:
+                        yield Finding(
+                            path=pragma.relpath,
+                            line=pragma.line,
+                            rule_id=self.rule_id,
+                            message=(
+                                f"stale ambient pragma: '{display}' declares "
+                                f"'{kind}' but no {kind} effect is "
+                                "reachable from it"
+                            ),
+                        )
 
 
 class WorkerBoundaryRule:

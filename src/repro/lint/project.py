@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
-from repro.lint.config import LintConfig
+from repro.lint.config import API_DOC, DOCS_PATHS, PATHS, LintConfig
 
 
 @dataclass
@@ -68,7 +68,7 @@ class Project:
     def doc_pages(self) -> list[tuple[str, str]]:
         """``(relpath, text)`` of every markdown page under lint, sorted."""
         pages: list[tuple[str, str]] = []
-        for entry in self.config.docs_paths:
+        for entry in DOCS_PATHS:
             target = self.root / entry
             if target.is_dir():
                 for page in sorted(target.glob("*.md")):
@@ -80,15 +80,19 @@ class Project:
     @cached_property
     def api_doc_text(self) -> str:
         """Contents of the API reference, '' when the file is missing."""
-        target = self.root / self.config.api_doc
+        target = self.root / API_DOC
         return target.read_text() if target.is_file() else ""
 
 
 def load_project(config: LintConfig) -> Project:
-    """Collect and parse every Python file named by ``config.paths``."""
+    """Collect and parse every Python file under the linted paths.
+
+    The paths are :data:`repro.lint.config.PATHS`, relative to
+    ``config.root``.
+    """
     seen: set[Path] = set()
     files: list[SourceFile] = []
-    for entry in config.paths:
+    for entry in PATHS:
         target = config.root / entry
         if target.is_dir():
             candidates = sorted(target.rglob("*.py"))

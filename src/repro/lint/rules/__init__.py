@@ -1,13 +1,12 @@
 """The rule registry: one instance of every shipped rule.
 
 Adding a rule = write the class (see ``docs/linting.md``), instantiate
-it here.  The engine, CLI ``--select``/``--disable`` filters and the
+it here.  The engine, the CLI ``--select`` filter and the
 docs all key off :data:`ALL_RULES`.
 """
 
 from __future__ import annotations
 
-from repro.lint.flow.migrations import MigrationChainRule
 from repro.lint.flow.rules import (
     CachePurityRule,
     DeclaredAmbientRule,
@@ -35,7 +34,6 @@ ALL_RULES: tuple[Rule, ...] = (
     CachePurityRule(),
     DeclaredAmbientRule(),
     WorkerBoundaryRule(),
-    MigrationChainRule(),
 )
 
 __all__ = ["ALL_RULES", "Rule", "FileVisitorRule"]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import ast
 from typing import Iterable, Iterator, Protocol, runtime_checkable
 
-from repro.lint.findings import Finding, Severity
+from repro.lint.findings import Finding
 from repro.lint.flow.names import dotted_name
 from repro.lint.project import Project, SourceFile
 
@@ -46,12 +46,7 @@ class FindingCollector(ast.NodeVisitor):
         self.source = source
         self.findings: list[Finding] = []
 
-    def report(
-        self,
-        node: ast.AST,
-        message: str,
-        severity: Severity = Severity.ERROR,
-    ) -> None:
+    def report(self, node: ast.AST, message: str) -> None:
         """File a finding at ``node``'s location."""
         self.findings.append(
             Finding(
@@ -59,7 +54,6 @@ class FindingCollector(ast.NodeVisitor):
                 line=getattr(node, "lineno", 0),
                 rule_id=self.rule.rule_id,
                 message=message,
-                severity=severity,
             )
         )
 

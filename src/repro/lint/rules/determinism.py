@@ -20,6 +20,11 @@ from __future__ import annotations
 
 import ast
 
+from repro.lint.config import (
+    DETERMINISM_PATHS,
+    PACKAGE_ROOT,
+    WALLCLOCK_ALLOWED,
+)
 from repro.lint.flow.effects import WALL_CLOCK, SEEDABLE_NUMPY
 from repro.lint.flow.names import ModuleNames, module_name
 from repro.lint.project import Project, SourceFile
@@ -37,7 +42,7 @@ class _ResolvingVisitor(FindingCollector):
         super().__init__(rule, source)
         self.names = ModuleNames(
             source.tree,
-            module_name(source.relpath, project.config.package_root),
+            module_name(source.relpath, PACKAGE_ROOT),
             is_package=source.relpath.endswith("__init__.py"),
         )
 
@@ -93,7 +98,7 @@ class UnseededRandomRule(FileVisitorRule):
     )
 
     def applies_to(self, project: Project, source: SourceFile) -> bool:
-        return source.in_subtree(project.config.determinism_paths)
+        return source.in_subtree(DETERMINISM_PATHS)
 
     def visitor(self, project: Project, source: SourceFile) -> FindingCollector:
         return _RandomVisitor(self, project, source)
@@ -120,7 +125,7 @@ class WallClockRule(FileVisitorRule):
     summary = "time.*/datetime.now reads forbidden outside repro.obs"
 
     def applies_to(self, project: Project, source: SourceFile) -> bool:
-        return not source.in_subtree(project.config.wallclock_allowed)
+        return not source.in_subtree(WALLCLOCK_ALLOWED)
 
     def visitor(self, project: Project, source: SourceFile) -> FindingCollector:
         return _WallClockVisitor(self, project, source)

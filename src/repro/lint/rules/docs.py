@@ -15,6 +15,7 @@ import ast
 import re
 from typing import Iterator
 
+from repro.lint.config import API_DOC, CLI_MODULE
 from repro.lint.findings import Finding
 from repro.lint.project import Project, SourceFile
 
@@ -55,11 +56,10 @@ class DocCoverageRule:
     )
 
     def check(self, project: Project) -> Iterator[Finding]:
-        api_doc = project.config.api_doc
         api_text = project.api_doc_text
         if not api_text:
             yield Finding(
-                path=api_doc, line=0, rule_id=self.rule_id,
+                path=API_DOC, line=0, rule_id=self.rule_id,
                 message="API reference is missing or empty",
             )
             return
@@ -85,7 +85,7 @@ class DocCoverageRule:
                         path=relpath, line=0, rule_id=self.rule_id,
                         message=(
                             f"{module}.{name} is exported but never "
-                            f"mentioned in {api_doc}"
+                            f"mentioned in {API_DOC}"
                         ),
                     )
 
@@ -108,20 +108,21 @@ class CliDocSyncRule:
     summary = "argparse subcommands/flags must be documented in the API doc"
 
     def check(self, project: Project) -> Iterator[Finding]:
-        source = project.file_at(project.config.cli_module)
+        source = project.file_at(CLI_MODULE)
         if source is None or source.tree is None:
             yield Finding(
-                path=project.config.cli_module, line=0, rule_id=self.rule_id,
+                path=CLI_MODULE, line=0, rule_id=self.rule_id,
                 message="CLI module is missing or unparsable",
             )
             return
-        api_doc = project.config.api_doc
         api_text = project.api_doc_text
         for kind, value, line in self._surface(source.tree):
             if value not in api_text:
                 yield Finding(
                     path=source.relpath, line=line, rule_id=self.rule_id,
-                    message=f"CLI {kind} {value!r} is not mentioned in {api_doc}",
+                    message=(
+                        f"CLI {kind} {value!r} is not mentioned in {API_DOC}"
+                    ),
                 )
 
     @staticmethod

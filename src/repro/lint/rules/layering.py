@@ -1,8 +1,8 @@
 """MEG003: the package layering DAG.
 
-Components of ``repro`` are assigned integer levels (``[tool.megsim-lint]
-layers``); an import may point at the same or a lower level, never a
-higher one.  Because ``errors``/``version``/``obs`` sit at the bottom,
+Components of ``repro`` are assigned integer levels
+(:data:`repro.lint.config.DEFAULT_LAYERS`); an import may point at the
+same or a lower level, never a higher one.  Because ``errors``/``version``/``obs`` sit at the bottom,
 "importable from everywhere" falls out of the same mechanism that bans
 ``analysis`` -> ``cli`` back-edges.  Imports inside function bodies count
 too: a lazy import is a load-order workaround, not an architectural
@@ -15,20 +15,21 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
+from repro.lint.config import PACKAGE_ROOT
 from repro.lint.findings import Finding
 from repro.lint.project import Project, SourceFile
 
 PACKAGE = "repro"
 
 
-def component_of(source: SourceFile, package_root: str) -> str | None:
+def component_of(source: SourceFile) -> str | None:
     """The layering component a file belongs to, or ``None`` if outside.
 
     ``src/repro/core/kmeans.py`` -> ``core``; top-level modules map to
     their stem (``src/repro/cli.py`` -> ``cli``, ``src/repro/__init__.py``
     -> ``__init__``).
     """
-    prefix = package_root + "/"
+    prefix = PACKAGE_ROOT + "/"
     if not source.relpath.startswith(prefix):
         return None
     remainder = source.relpath[len(prefix):]
@@ -36,9 +37,9 @@ def component_of(source: SourceFile, package_root: str) -> str | None:
     return first if rest else first.removesuffix(".py")
 
 
-def _module_of(source: SourceFile, package_root: str) -> str:
+def _module_of(source: SourceFile) -> str:
     """Dotted module path of a file (``repro.core.kmeans``)."""
-    remainder = source.relpath[len(package_root) + 1:].removesuffix(".py")
+    remainder = source.relpath[len(PACKAGE_ROOT) + 1:].removesuffix(".py")
     parts = [part for part in remainder.split("/") if part != "__init__"]
     return ".".join([PACKAGE, *parts]) if parts else PACKAGE
 
@@ -62,13 +63,12 @@ class ImportLayeringRule:
 
     def check(self, project: Project) -> Iterator[Finding]:
         layers = project.config.layers
-        package_root = project.config.package_root
         edges: dict[tuple[str, str], tuple[str, int]] = {}
 
         for source in project.files:
             if source.tree is None:
                 continue
-            component = component_of(source, package_root)
+            component = component_of(source)
             if component is None:
                 continue
             if component not in layers:
@@ -76,11 +76,11 @@ class ImportLayeringRule:
                     path=source.relpath, line=0, rule_id=self.rule_id,
                     message=(
                         f"component {component!r} has no level in "
-                        "[tool.megsim-lint] layers; assign one"
+                        "repro.lint.config.DEFAULT_LAYERS; assign one"
                     ),
                 )
                 continue
-            for module, line in self._imports(source, package_root):
+            for module, line in self._imports(source):
                 target = _target_component(module)
                 if target == component:
                     continue
@@ -103,11 +103,9 @@ class ImportLayeringRule:
                         ),
                     )
 
-        yield from self._cycles(edges, package_root)
+        yield from self._cycles(edges)
 
-    def _imports(
-        self, source: SourceFile, package_root: str
-    ) -> Iterator[tuple[str, int]]:
+    def _imports(self, source: SourceFile) -> Iterator[tuple[str, int]]:
         """Every ``repro.*`` module imported anywhere in the file."""
         for node in ast.walk(source.tree):
             if isinstance(node, ast.Import):
@@ -119,16 +117,14 @@ class ImportLayeringRule:
             elif isinstance(node, ast.ImportFrom):
                 module = node.module or ""
                 if node.level:
-                    base = _module_of(source, package_root).split(".")
+                    base = _module_of(source).split(".")
                     base = base[: len(base) - node.level + 1]
                     module = ".".join(base + ([module] if module else []))
                 if module == PACKAGE or module.startswith(PACKAGE + "."):
                     yield module, node.lineno
 
     def _cycles(
-        self,
-        edges: dict[tuple[str, str], tuple[str, int]],
-        package_root: str,
+        self, edges: dict[tuple[str, str], tuple[str, int]]
     ) -> Iterator[Finding]:
         """Report each import cycle in the component graph once."""
         graph: dict[str, set[str]] = {}

@@ -212,8 +212,15 @@ class ResultsDB:
 
         Raises:
             ServiceError: when the file is *newer* than this build
-                understands (downgrades are not supported).
+                understands (downgrades are not supported), or when
+                :data:`MIGRATIONS` is not exactly versions
+                ``1..SCHEMA_VERSION``.
         """
+        if sorted(MIGRATIONS) != list(range(1, SCHEMA_VERSION + 1)):
+            raise ServiceError(
+                f"migration chain has versions {sorted(MIGRATIONS)}; "
+                f"expected exactly 1..{SCHEMA_VERSION}"
+            )
         applied = 0
         current = self.schema_version()
         if current > SCHEMA_VERSION:

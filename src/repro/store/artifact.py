@@ -152,7 +152,7 @@ def memory_store(memory_entries: int = DEFAULT_MEMORY_ENTRIES) -> ArtifactStore:
     return ArtifactStore(root=None, memory_entries=memory_entries)
 
 
-def _store_from_env() -> ArtifactStore:
+def _store_from_env() -> ArtifactStore:  # megsim: ambient(env)
     value = os.environ.get(STORE_ENV_VAR, "").strip()
     if value.lower() in DISABLE_VALUES and value:
         return memory_store()
@@ -160,9 +160,13 @@ def _store_from_env() -> ArtifactStore:
     return ArtifactStore(root=root)
 
 
+#: The process-wide store.  The accessors below are the sanctioned
+#: process-local ambient surface (their pragmas declare it to MEG011):
+#: workers install a per-process store once, then compute purely.
 _ACTIVE: ArtifactStore | None = None
 
 
+# megsim: ambient(global-read, global-write)
 def get_store() -> ArtifactStore:
     """The process-wide store, resolved from ``MEGSIM_STORE`` on first use."""
     global _ACTIVE
@@ -171,14 +175,16 @@ def get_store() -> ArtifactStore:
     return _ACTIVE
 
 
-def set_store(store: ArtifactStore | None) -> None:
+def set_store(store: ArtifactStore | None) -> None:  # megsim: ambient(global-write)
     """Install ``store`` process-wide; ``None`` re-enables lazy resolution."""
     global _ACTIVE
     _ACTIVE = store
 
 
 @contextmanager
-def store_scope(store: ArtifactStore):
+def store_scope(  # megsim: ambient(global-read, global-write)
+    store: ArtifactStore,
+):
     """Temporarily make ``store`` the process-wide store.
 
     Used by ``--no-store`` (a throwaway :func:`memory_store`) and by the

@@ -1,4 +1,5 @@
-"""Shared fixtures: build a throwaway project tree and lint it."""
+"""Shared fixtures: the repository at HEAD, linted once per session, and
+throwaway project trees for rule fixtures."""
 
 from __future__ import annotations
 
@@ -7,9 +8,36 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import LintConfig, LintResult, run_lint
+from repro.lint import LintConfig, LintResult, get_flow, run_lint
+from repro.lint.engine import lint_project
+from repro.lint.flow import FlowAnalysis
+from repro.lint.project import Project, load_project
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
+
+
+@pytest.fixture(scope="session")
+def head_project() -> Project:
+    """The repository at HEAD, loaded once for every whole-repo test."""
+    return load_project(LintConfig(root=REPO_ROOT))
+
+
+@pytest.fixture(scope="session")
+def head_flow(head_project) -> FlowAnalysis:
+    return get_flow(head_project)
+
+
+@pytest.fixture(scope="session")
+def head_result(head_project) -> LintResult:
+    """Every rule over HEAD; shares the project's cached flow analysis."""
+    return lint_project(head_project)
+
+
+@pytest.fixture(scope="session")
+def fresh_head_project() -> Project:
+    """A second, independent load of HEAD: the one rebuild the
+    determinism checks compare the shared session build against."""
+    return load_project(LintConfig(root=REPO_ROOT))
 
 
 def write_tree(root: Path, files: dict[str, str]) -> None:

@@ -8,17 +8,13 @@ from __future__ import annotations
 import json
 import shutil
 
-import pytest
-
-from repro.lint import load_config, run_lint
-from repro.lint.flow import get_flow
-from repro.lint.project import load_project
+from repro.lint import LintConfig, get_flow, run_lint
 from tests.test_lint.conftest import REPO_ROOT
 
-FLOW_RULES = ("MEG010", "MEG011", "MEG012", "MEG013")
+FLOW_RULES = ("MEG010", "MEG011", "MEG012")
 
 #: The obs instrumentation every simulating stage runs under; declared
-#: wholesale by `ambient-paths`, hence *absorbed*, never ambient.
+#: wholesale by `AMBIENT_PATHS`, hence *absorbed*, never ambient.
 OBS_ABSORBED = [
     "global-read:repro.obs.trace._active",
     "wall-clock:time.perf_counter",
@@ -77,11 +73,6 @@ GOLDEN_DIGESTS = {
 }
 
 
-@pytest.fixture(scope="module")
-def head_flow():
-    return get_flow(load_project(load_config(REPO_ROOT)))
-
-
 class TestHeadGoldens:
     def test_every_stage_compute_digest_is_pinned(self, head_flow):
         for qualname, expected in GOLDEN_DIGESTS.items():
@@ -93,21 +84,23 @@ class TestHeadGoldens:
         for qualname in GOLDEN_DIGESTS:
             assert head_flow.ambient[qualname] == frozenset(), qualname
 
-    def test_digest_is_deterministic_across_builds(self, head_flow):
-        from repro.lint.flow import FlowAnalysis
-
-        rebuilt = FlowAnalysis(head_flow.project)
+    def test_digest_is_deterministic_across_builds(
+        self, head_flow, fresh_head_project
+    ):
+        rebuilt = get_flow(fresh_head_project)
+        assert rebuilt is not head_flow
         for qualname in GOLDEN_DIGESTS:
             assert json.dumps(rebuilt.summary(qualname), sort_keys=True) == (
                 json.dumps(head_flow.summary(qualname), sort_keys=True)
             )
 
-    def test_repo_flow_rules_are_clean_at_head(self):
-        result = run_lint(load_config(REPO_ROOT), select=FLOW_RULES)
-        assert result.findings == [], "\n".join(
-            finding.render() for finding in result.findings
+    def test_repo_flow_rules_are_clean_at_head(self, head_result):
+        flow_findings = [
+            f for f in head_result.findings if f.rule_id in FLOW_RULES
+        ]
+        assert flow_findings == [], "\n".join(
+            finding.render() for finding in flow_findings
         )
-        assert result.baselined == []
 
     def test_worker_ship_sites_are_all_known(self, head_flow):
         # Every callable crossing the pool boundary at HEAD resolves to
@@ -125,7 +118,6 @@ class TestInjectedAmbientIsCaught:
 
     def test_env_read_in_functional_sim_trips_meg010(self, tmp_path):
         shutil.copytree(REPO_ROOT / "src", tmp_path / "src")
-        shutil.copy(REPO_ROOT / "pyproject.toml", tmp_path / "pyproject.toml")
         target = tmp_path / "src/repro/gpu/functional_sim.py"
         source = target.read_text()
         assert "import numpy as np" in source
@@ -141,7 +133,7 @@ class TestInjectedAmbientIsCaught:
         )
         target.write_text(source)
 
-        result = run_lint(load_config(tmp_path), select=("MEG010",))
+        result = run_lint(LintConfig(root=tmp_path), select=("MEG010",))
         findings = [f for f in result.findings if f.rule_id == "MEG010"]
         assert findings, "injected ambient env read was not detected"
         text = "\n".join(f.message for f in findings)

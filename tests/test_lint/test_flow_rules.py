@@ -149,42 +149,6 @@ class TestDeclaredAmbient:
         assert "stale ambient pragma" in messages(result)
         assert "no env effect is reachable" in messages(result)
 
-    def test_allowlist_entry_matching_nothing_is_a_finding(
-        self, lint_fixture
-    ):
-        result = lint_fixture(
-            {"src/repro/core/m.py": "VALUE = 1\n"},
-            select=("MEG011",),
-            ambient={"repro.core.m:gone": ("env",)},
-        )
-        assert rule_ids(result) == ["MEG011"]
-        assert "matches no function" in messages(result)
-
-    def test_stale_allowlist_entry_is_a_finding(self, lint_fixture):
-        result = lint_fixture(
-            {"src/repro/core/m.py": """\
-                def pure():
-                    return 1
-            """},
-            select=("MEG011",),
-            ambient={"repro.core.m:pure": ("env",)},
-        )
-        assert rule_ids(result) == ["MEG011"]
-        assert "stale ambient allowlist entry" in messages(result)
-
-    def test_live_allowlist_entry_passes(self, lint_fixture):
-        result = lint_fixture(
-            {"src/repro/core/m.py": """\
-                import os
-
-                def read_env():
-                    return os.getenv("X")
-            """},
-            select=("MEG011",),
-            ambient={"repro.core.m:read_env": ("env",)},
-        )
-        assert result.findings == []
-
 
 class TestWorkerBoundary:
     def test_clean_toplevel_worker_passes(self, lint_fixture):

@@ -5,21 +5,13 @@ from __future__ import annotations
 import hashlib
 import json
 
-from repro.lint import (
-    Finding,
-    Severity,
-    load_config,
-    render_json,
-    render_text,
-    run_lint,
-)
+from repro.lint import Finding, render_json, render_text
+from repro.lint.engine import lint_project
 from repro.lint.reporters import JSON_SCHEMA_VERSION
-from tests.test_lint.conftest import REPO_ROOT
 
 SAMPLE = [
     Finding(path="src/b.py", line=9, rule_id="MEG002", message="later file"),
-    Finding(path="src/a.py", line=3, rule_id="MEG006", message="earlier file",
-            severity=Severity.WARNING),
+    Finding(path="src/a.py", line=3, rule_id="MEG006", message="earlier file"),
     Finding(path="src/a.py", line=1, rule_id="MEG001", message="first"),
 ]
 
@@ -27,7 +19,7 @@ SAMPLE = [
 class TestJsonStability:
     def test_round_trip(self):
         document = json.loads(render_json(SAMPLE))
-        assert document["schema_version"] == JSON_SCHEMA_VERSION
+        assert document["schema_version"] == JSON_SCHEMA_VERSION == 3
         assert [f["path"] for f in document["findings"]] == [
             "src/a.py", "src/a.py", "src/b.py"
         ]
@@ -35,19 +27,13 @@ class TestJsonStability:
             "path": "src/a.py",
             "line": 1,
             "rule": "MEG001",
-            "severity": "error",
             "message": "first",
         }
         expected_digest = hashlib.sha256(
-            "\n".join(
-                sorted(f.baseline_key for f in SAMPLE)
-            ).encode("utf-8")
+            "\n".join(sorted(f.key for f in SAMPLE)).encode("utf-8")
         ).hexdigest()
         assert document["summary"] == {
-            "errors": 2,
-            "warnings": 1,
-            "baselined": 0,
-            "stale_baseline_keys": [],
+            "errors": 3,
             "rule_counts": {"MEG001": 1, "MEG002": 1, "MEG006": 1},
             "findings_sha256": expected_digest,
         }
@@ -55,22 +41,18 @@ class TestJsonStability:
     def test_output_is_deterministic_across_input_order(self):
         assert render_json(SAMPLE) == render_json(list(reversed(SAMPLE)))
 
-    def test_repo_lint_json_is_byte_stable(self):
-        """Two runs over the same tree -> identical bytes (CI diffing)."""
-        config = load_config(REPO_ROOT)
+    def test_repo_lint_json_is_byte_stable(
+        self, head_result, fresh_head_project
+    ):
+        """Two runs over the same tree -> identical bytes (CI diffing).
 
-        def report() -> str:
-            result = run_lint(config)
-            return render_json(
-                result.findings, len(result.baselined), result.stale_keys
-            )
-
-        first, second = report(), report()
+        The session's shared HEAD run against one fresh whole-repo run.
+        """
+        first = render_json(head_result.findings)
+        second = render_json(lint_project(fresh_head_project).findings)
         assert first == second
         document = json.loads(first)
         assert document["findings"] == []
-        # Paths in any report are root-relative POSIX — no backslashes,
-        # no absolute paths — which is what makes reports portable.
         assert document["schema_version"] == JSON_SCHEMA_VERSION
 
     def test_ends_with_single_newline(self):
@@ -83,10 +65,5 @@ class TestTextReporter:
 
     def test_findings_render_with_location(self):
         text = render_text(SAMPLE)
-        assert "src/a.py:1: MEG001 [error] first" in text
-        assert "2 error(s), 1 warning(s)" in text
-
-    def test_baselined_and_stale_are_visible(self):
-        text = render_text([], baselined=2, stale=["MEG001:gone.py:x"])
-        assert "2 baselined" in text
-        assert "stale baseline entry" in text
+        assert "src/a.py:1: MEG001 first" in text
+        assert text.endswith("megsim lint: 3 error(s)")

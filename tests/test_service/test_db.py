@@ -36,6 +36,19 @@ def test_migrations_cover_every_version():
     assert sorted(MIGRATIONS) == list(range(1, SCHEMA_VERSION + 1))
 
 
+def test_migration_chain_gap_is_rejected(tmp_path, monkeypatch):
+    """A missing version fails the open with ServiceError before any
+    transaction starts, instead of a bare KeyError mid-transaction."""
+    gapped = {v: s for v, s in MIGRATIONS.items() if v != 2}
+    monkeypatch.setattr("repro.service.db.MIGRATIONS", gapped)
+    path = tmp_path / "svc.sqlite3"
+    with pytest.raises(ServiceError, match="migration chain"):
+        ResultsDB(path)
+    monkeypatch.undo()
+    with ResultsDB(path) as db:  # nothing half-applied is left behind
+        assert db.schema_version() == SCHEMA_VERSION
+
+
 def test_v1_to_v2_migration_preserves_rows(tmp_path):
     """The round-trip the migration policy promises: a v1 file upgrades
     in place with its rows intact and gains the v2 columns."""
