@@ -97,6 +97,14 @@ import json
 import sys
 
 first, second = (json.load(open(path)) for path in sys.argv[1:3])
+# Every artifact either run reads was written by this same code, so a
+# dropped file means the disk tier's reader and writer disagree.
+for run, artifact in (("first", first), ("second", second)):
+    for name, section in artifact["benchmarks"].items():
+        corrupt = section["results"]["counters"].get("store.corrupt")
+        assert corrupt is None, (
+            f"{name}: {run} warm run dropped {corrupt:g} corrupt store artifacts"
+        )
 for name in second["benchmarks"]:
     cold, warm = (
         artifact["benchmarks"][name]["results"] for artifact in (first, second)

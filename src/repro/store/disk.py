@@ -4,10 +4,18 @@ Layout::
 
     <root>/v1/<kind>/<fp[:2]>/<fp>.json
 
-Each file holds an *envelope* around the artifact payload::
+Each file holds an *envelope* around the artifact payload, as canonical
+JSON (sorted keys, no whitespace, ASCII)::
 
-    {"schema": "megsim-store", "version": 1, "kind": ..., "fingerprint":
-     ..., "payload_sha256": ..., "payload": {...}}
+    {"fingerprint":...,"kind":...,"payload":{...},"payload_sha256":...,
+     "schema":"megsim-store","version":1}
+
+Because the keys sort in exactly that order, the envelope is a fixed
+head (which depends only on the address), the payload's canonical bytes,
+and a fixed-shape tail carrying their SHA-256.  Both directions use that
+shape directly: a write serializes the payload once and concatenates, a
+read checks head and tail byte for byte, hashes the payload bytes in
+place and parses them once.
 
 Concurrency and integrity rules:
 
@@ -16,21 +24,25 @@ Concurrency and integrity rules:
   (including a concurrent :mod:`repro.parallel` worker) never observes
   a half-written artifact.  Two processes racing to write the same
   fingerprint produce identical bytes, so either replace wins.
-* **Hash-on-read** — :meth:`DiskTier.read` recomputes the payload's
-  SHA-256 and compares it (and the envelope's kind/fingerprint) before
-  trusting anything.  A corrupt or foreign file is deleted and reported
-  as a miss, which makes the caller recompute instead of propagating
-  garbage.
+* **Hash-on-read** — :meth:`DiskTier.read` checks the head (kind and
+  fingerprint), the tail (schema and version) and the payload's SHA-256
+  before trusting anything.  A corrupt, foreign or non-canonical file
+  is deleted and reported as a miss, which makes the caller recompute
+  instead of propagating garbage.  A file that cannot be *read*
+  (permissions, descriptor exhaustion) is a miss but is left in place:
+  an I/O failure is not evidence of corruption, and the recompute's
+  atomic write replaces the file anyway.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from pathlib import Path
 
 from repro.errors import StoreError
-from repro.store.fingerprint import payload_digest
+from repro.obs import span
 
 #: Schema tag inside every artifact envelope.
 STORE_SCHEMA = "megsim-store"
@@ -38,6 +50,20 @@ STORE_SCHEMA = "megsim-store"
 #: Bumped on incompatible envelope/layout changes; older trees are
 #: simply never read (and ``gc`` removes them).
 STORE_VERSION = 1
+
+#: The envelope after the payload, around the 64 hex digits of its hash.
+_TAIL_OPEN = b',"payload_sha256":"'
+_TAIL_CLOSE = (
+    f'","schema":{json.dumps(STORE_SCHEMA)},"version":{STORE_VERSION}}}'
+).encode("ascii")
+_TAIL_LEN = len(_TAIL_OPEN) + 64 + len(_TAIL_CLOSE)
+
+
+def _head(kind: str, fp: str) -> bytes:
+    """The envelope up to the payload; fixed by the artifact's address."""
+    return (
+        f'{{"fingerprint":{json.dumps(fp)},"kind":{json.dumps(kind)},"payload":'
+    ).encode("ascii")
 
 
 class DiskTier:
@@ -64,61 +90,63 @@ class DiskTier:
     def write(self, kind: str, fp: str, payload: dict) -> int:
         """Persist ``payload``; returns the number of bytes written."""
         target = self.path(kind, fp)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        envelope = json.dumps(
-            {
-                "schema": STORE_SCHEMA,
-                "version": STORE_VERSION,
-                "kind": kind,
-                "fingerprint": fp,
-                "payload_sha256": payload_digest(body),
-                "payload": json.loads(body),
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        tmp = target.parent / f"{fp}.{os.getpid()}.tmp"
-        tmp.write_text(envelope)
-        os.replace(tmp, target)
-        return len(envelope.encode("utf-8"))
+        with span("store.write", kind=kind) as record:
+            target.parent.mkdir(parents=True, exist_ok=True)
+            body = json.dumps(
+                payload, sort_keys=True, separators=(",", ":")
+            ).encode("ascii")
+            digest = hashlib.sha256(body).hexdigest().encode("ascii")
+            envelope = b"".join(
+                (_head(kind, fp), body, _TAIL_OPEN, digest, _TAIL_CLOSE)
+            )
+            tmp = target.parent / f"{fp}.{os.getpid()}.tmp"
+            tmp.write_bytes(envelope)
+            os.replace(tmp, target)
+            record.attrs["bytes"] = len(envelope)
+        return len(envelope)
 
     def read(self, kind: str, fp: str) -> tuple[dict, int] | None:
         """Return ``(payload, bytes_read)``, or ``None`` on miss/corruption.
 
-        Any validation failure — unreadable JSON, wrong schema, a
-        kind/fingerprint mismatch, or a payload hash mismatch — deletes
-        the offending file and reports a miss.
+        Only the canonical envelope :meth:`write` produces is accepted:
+        the exact head for ``(kind, fp)``, the fixed-shape tail, a
+        payload whose SHA-256 matches the tail's digest, and which parses
+        as a JSON object.  Any other content deletes the file and reports
+        a miss.  A file that cannot be read is a miss and stays in place.
         """
         target = self.path(kind, fp)
-        try:
-            text = target.read_text()
-        except FileNotFoundError:
-            return None
-        except OSError:
-            self._drop(target)
-            return None
-        try:
-            envelope = json.loads(text)
-        except json.JSONDecodeError:
-            self._drop(target)
-            return None
-        payload = envelope.get("payload") if isinstance(envelope, dict) else None
+        with span("store.read", kind=kind) as record:
+            try:
+                data = target.read_bytes()
+            except OSError:
+                return None
+            record.attrs["bytes"] = len(data)
+            payload = self._verified_payload(data, _head(kind, fp))
+            if payload is None:
+                self._drop(target)
+                return None
+        return payload, len(data)
+
+    @staticmethod
+    def _verified_payload(data: bytes, head: bytes) -> dict | None:
+        """The payload of a canonical envelope, or ``None``."""
+        end = len(data) - _TAIL_LEN
         if (
-            not isinstance(envelope, dict)
-            or envelope.get("schema") != STORE_SCHEMA
-            or envelope.get("version") != STORE_VERSION
-            or envelope.get("kind") != kind
-            or envelope.get("fingerprint") != fp
-            or not isinstance(payload, dict)
-            or envelope.get("payload_sha256")
-            != payload_digest(
-                json.dumps(payload, sort_keys=True, separators=(",", ":"))
-            )
+            end < len(head)
+            or not data.startswith(head)
+            or not data.startswith(_TAIL_OPEN, end)
+            or not data.endswith(_TAIL_CLOSE)
         ):
-            self._drop(target)
             return None
-        return payload, len(text.encode("utf-8"))
+        body = memoryview(data)[len(head):end]
+        digest = data[end + len(_TAIL_OPEN):len(data) - len(_TAIL_CLOSE)]
+        if hashlib.sha256(body).hexdigest().encode("ascii") != digest:
+            return None
+        try:
+            payload = json.loads(str(body, "utf-8"))
+        except ValueError:
+            return None
+        return payload if isinstance(payload, dict) else None
 
     def _drop(self, target: Path) -> None:
         """Delete a corrupt artifact file (best effort)."""

@@ -119,3 +119,26 @@ def test_corrupted_artifact_is_recomputed_not_trusted(tmp_path):
     # The recomputed ground truth re-measures its own wall clock, so
     # time_speedup is the one value allowed to differ.
     _assert_numerically_identical(cold, warm, check_speedup=False)
+
+
+def test_non_utf8_plan_is_dropped_and_recomputed(tmp_path):
+    store = ArtifactStore(tmp_path / "store")
+    with store_scope(store):
+        cold = _evaluate("hcr")
+        store.clear_memory()
+        request = PipelineRequest.create("hcr", scale=SCALE)
+        target = store.disk.path("plan", stage_fingerprints(request)["plan"])
+        original = target.read_bytes()
+        # One flipped high bit leaves a byte that is not valid UTF-8.
+        damaged = bytearray(original)
+        damaged[30] ^= 0x80
+        target.write_bytes(bytes(damaged))
+        with collecting() as collector:
+            warm = _evaluate("hcr")
+    counters = dict(collector.counters)
+    assert counters["store.corrupt"] == 1
+    assert counters["pipeline.computed.plan"] == 1
+    assert counters["pipeline.hits.profile"] == 1
+    # The damaged file was dropped and the recomputed plan written back.
+    assert target.read_bytes() == original
+    _assert_numerically_identical(cold, warm)
