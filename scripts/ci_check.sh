@@ -79,9 +79,9 @@ EOF
 
 # The artifact-store contract (docs/pipeline.md): two identical warm
 # runs sharing one fresh MEGSIM_STORE must produce byte-identical
-# deterministic results, and the second must be served from the store —
-# zero trace generation, zero functional profiling, zero cycle
-# simulation in any benchmark.  It runs at the smoke suite's own scale:
+# deterministic results, the first must leave no trace on disk, and the
+# second must be served from the store — zero trace generation, zero
+# functional profiling, zero cycle simulation in any benchmark.  It runs at the smoke suite's own scale:
 # bench checks every spec's paper-shape claims, and table3's average
 # reduction misses its floor at scale 0.02 (ROADMAP item 3).
 echo "== store warm determinism =="
@@ -90,6 +90,20 @@ SERVICE_TMP="$(mktemp -d)"
 trap 'rm -rf "$GATE_TMP" "$STORE_TMP" "$SERVICE_TMP"' EXIT
 MEGSIM_STORE="$STORE_TMP/store" python -m repro bench --suite smoke \
     --scale 0.05 --warm --out "$STORE_TMP/warm1.json"
+# Traces are derived, never stored: the cold run must have written no
+# artifact of the trace kind to the disk tier.
+python - "$STORE_TMP/store" <<'EOF'
+import sys
+
+from repro.store import ArtifactStore
+
+disk = ArtifactStore(sys.argv[1]).stats()["disk"]
+assert "trace" not in disk["kinds"], (
+    f"cold run stored {disk['kinds']['trace']['entries']} trace artifacts"
+)
+print(f"disk tier after the cold run: {disk['entries']} artifacts, "
+      f"{disk['bytes']} bytes, kinds {sorted(disk['kinds'])}")
+EOF
 MEGSIM_STORE="$STORE_TMP/store" python -m repro bench --suite smoke \
     --scale 0.05 --warm --out "$STORE_TMP/warm2.json"
 python - "$STORE_TMP/warm1.json" "$STORE_TMP/warm2.json" <<'EOF'
@@ -175,8 +189,9 @@ with ResultsDB(db_path) as db:
     runs = db.runs(limit=100)
 assert counts["requests"]["failed"] == 0, counts
 assert counts["requests"]["completed"] == 16, counts  # 8 + resubmission
+# Five stored-stage jobs per benchmark (the derived trace gets none).
 assert counts["jobs"] == {"pending": 0, "running": 0,
-                          "done": 48, "failed": 0}, counts
+                          "done": 40, "failed": 0}, counts
 assert len(runs) == 16, f"expected 16 runs, got {len(runs)}"
 for run in runs:
     doc = run["metrics"]
@@ -191,7 +206,7 @@ for run in runs:
     assert doc["reduction_factor"] == direct.reduction_factor, run["benchmark"]
 # The second serve adopted every job already done — zero executions.
 counters = json.load(open(manifest_path))["counters"]
-assert counters.get("service.jobs.deduped.done") == 48, counters
+assert counters.get("service.jobs.deduped.done") == 40, counters
 assert "service.jobs.executed" not in counters, counters
 assert "service.jobs.created" not in counters, counters
 assert not any(c.startswith("pipeline.computed.") for c in counters), counters

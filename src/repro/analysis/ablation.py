@@ -25,6 +25,8 @@ from repro.core.features import FeatureOptions, PAPER_WEIGHTS
 from repro.core.sampler import MEGsimOptions
 from repro.gpu.config import default_config
 from repro.gpu.stats import KEY_METRICS
+from repro.pipeline import PipelineRequest, materialize_stage
+from repro.store import get_store
 
 
 @dataclass(frozen=True)
@@ -190,7 +192,7 @@ def scale_convergence_study(
         length = round(fraction * scale, 6)
         evaluation = evaluate_benchmark(alias, scale=length)
         points.append(_point(
-            f"scale={length} ({evaluation.trace.frame_count} frames)",
+            f"scale={length} ({evaluation.plan.total_frames} frames)",
             evaluation,
         ))
     return _sweep_result(
@@ -218,13 +220,16 @@ def warmup_study(
     from repro.gpu.cycle_sim import CycleAccurateSimulator
 
     evaluation = evaluate_benchmark(alias, scale=scale)
+    trace = materialize_stage(
+        PipelineRequest.create(alias, scale=scale), "trace", store=get_store()
+    )
     plan = evaluation.plan
     truth = evaluation.totals
     simulator = CycleAccurateSimulator()
     points = []
     for warmup in warmups:
         reps = simulator.simulate(
-            evaluation.trace,
+            trace,
             frame_ids=list(plan.representative_frames),
             warmup_frames=warmup,
         )

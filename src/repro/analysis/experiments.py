@@ -35,10 +35,12 @@ from repro.core.correlation import multiple_correlation, pearson_correlation
 from repro.core.features import build_feature_matrix
 from repro.core.sampler import MEGsimOptions
 from repro.core.similarity import render_similarity_matrix, similarity_matrix
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, ConfigError
 from repro.gpu.config import default_config
 from repro.gpu.stats import KEY_METRICS
 from repro.obs import span
+from repro.pipeline import PipelineRequest, materialize_stage
+from repro.store import get_store
 from repro.workloads.benchmarks import BENCHMARKS, benchmark_aliases
 
 #: Paper reference numbers, used in side-by-side reports.
@@ -138,14 +140,14 @@ def table2_benchmarks(scale: float = 1.0) -> ExperimentResult:
         cycles_m = totals.cycles / 1e6
         paper = PAPER_TABLE2[alias]
         data[alias] = {
-            "frames": evaluation.trace.frame_count,
+            "frames": evaluation.plan.total_frames,
             "vertex_shaders": spec.vertex_shader_count,
             "fragment_shaders": spec.fragment_shader_count,
             "cycles_millions": cycles_m,
             "ipc": totals.ipc,
         }
         rows.append([
-            alias, spec.game_type, str(evaluation.trace.frame_count),
+            alias, spec.game_type, str(evaluation.plan.total_frames),
             str(spec.vertex_shader_count), str(spec.fragment_shader_count),
             f"{cycles_m:.0f}", f"{paper[3] * scale:.0f}",
             f"{totals.ipc:.2f}", f"{paper[4]:.2f}",
@@ -251,18 +253,38 @@ def scaled_frames(frames: int, scale: float) -> int:
     return max(MIN_SCALED_FRAMES, round(frames * scale))
 
 
+def _prefix_features(
+    alias: str, frames: int | None, scale: float
+) -> tuple[np.ndarray, int]:
+    """The feature matrix of the first ``frames`` frames, for Figures 5/6.
+
+    Reads only the ``profile`` stage through the active store — no cycle
+    simulation runs.  ``frames`` defaults to the paper's 900 scaled by
+    ``scale`` and is capped at the sequence length.
+
+    Raises:
+        ConfigError: when ``frames`` is below 1 (naming ``--frames``,
+            the flag ``megsim figures`` passes it through).
+    """
+    if frames is None:
+        frames = scaled_frames(FIG56_FRAMES, scale)
+    if frames < 1:
+        raise ConfigError(f"--frames must be >= 1, got {frames}")
+    request = PipelineRequest.create(alias, scale=scale)
+    profile = materialize_stage(request, "profile", store=get_store())
+    features, _ = build_feature_matrix(profile)
+    frames = min(frames, features.shape[0])
+    return features[:frames], frames
+
+
 def fig5_similarity(alias: str = "bbr1", frames: int | None = None,
                     scale: float = 1.0, width: int = 60) -> ExperimentResult:
     """Figure 5: the similarity matrix of a bbr sequence prefix.
 
     ``frames`` defaults to the paper's 900 scaled by ``scale``.
     """
-    if frames is None:
-        frames = scaled_frames(FIG56_FRAMES, scale)
-    evaluation = evaluate_benchmark(alias, scale=scale)
-    features, _ = build_feature_matrix(evaluation.profile)
-    frames = min(frames, features.shape[0])
-    distances = similarity_matrix(features[:frames], upper_only=False)
+    features, frames = _prefix_features(alias, frames, scale)
+    distances = similarity_matrix(features, upper_only=False)
     art = render_similarity_matrix(distances, width=width)
     report = (
         f"Figure 5: similarity matrix for {alias} ({frames} frames analysed).\n"
@@ -282,12 +304,8 @@ def fig6_clusters(alias: str = "bbr1", frames: int | None = None,
     """
     from repro.core.cluster_search import search_clustering
 
-    if frames is None:
-        frames = scaled_frames(FIG56_FRAMES, scale)
-    evaluation = evaluate_benchmark(alias, scale=scale)
-    features, _ = build_feature_matrix(evaluation.profile)
-    frames = min(frames, features.shape[0])
-    search = search_clustering(features[:frames])
+    features, frames = _prefix_features(alias, frames, scale)
+    search = search_clustering(features)
     labels = search.clustering.labels
     # Down-sample the diagonal into `width` character cells; each cell shows
     # the dominant cluster of its frame span.
@@ -324,7 +342,7 @@ def table3_reduction(scale: float = 1.0) -> ExperimentResult:
     total_selected = 0
     for alias in benchmark_aliases():
         evaluation = evaluate_benchmark(alias, scale=scale)
-        actual = evaluation.trace.frame_count
+        actual = evaluation.plan.total_frames
         selected = evaluation.plan.selected_frame_count
         total_frames += actual
         total_selected += selected
@@ -557,7 +575,7 @@ def adversarial(
         if max_error > worst_error:
             worst_key, worst_error = key, max_error
         rows.append([
-            key, str(evaluation.trace.frame_count),
+            key, str(evaluation.plan.total_frames),
             str(evaluation.plan.selected_frame_count),
             f"{evaluation.reduction_factor:.0f}x",
             _pct(max_error),

@@ -3,7 +3,8 @@
 :func:`evaluate_benchmark` runs the full Section IV/V pipeline for one
 benchmark:
 
-1. generate the trace,
+1. generate the trace (derived: regenerated only when a stage below
+   misses, never stored),
 2. functional profile (MEGsim's input),
 3. MEGsim plan (features -> clustering -> representatives),
 4. cycle-accurate ground truth of the whole sequence,
@@ -39,7 +40,6 @@ from repro.pipeline import (
     run_pipeline,
     stage_fingerprints,
 )
-from repro.scene.trace import WorkloadTrace
 from repro.store import get_store
 
 #: Store kind of the assembled evaluation (memory tier only: its parts
@@ -53,7 +53,6 @@ class BenchmarkEvaluation:
 
     alias: str
     scale: float
-    trace: WorkloadTrace
     profile: SequenceProfile
     plan: SamplingPlan
     full: SequenceResult
@@ -149,7 +148,6 @@ def evaluate_benchmark(
     evaluation = BenchmarkEvaluation(
         alias=alias,
         scale=request.scale,
-        trace=artifacts["trace"],
         profile=artifacts["profile"],
         plan=artifacts["plan"],
         full=artifacts["ground_truth"],

@@ -26,7 +26,7 @@ runs`` query the database.
 Caching (see ``docs/pipeline.md``): every evaluation runs through the
 staged pipeline backed by the persistent artifact store (default
 ``~/.cache/megsim``, overridden by the ``MEGSIM_STORE`` environment
-variable), so repeated experiments reuse traces, profiles, plans and
+variable), so repeated experiments reuse profiles, plans and
 cycle-simulation results across commands and sessions.  ``--no-store``
 runs a command against a throwaway in-memory store; ``megsim cache``
 inspects (``stats``), empties (``clear``) or garbage-collects (``gc``)
@@ -57,7 +57,7 @@ from pathlib import Path
 
 from repro.analysis.experiments import EXPERIMENTS, run_experiment
 from repro.bench import DEFAULT_THRESHOLD, SUITE_SCALES, SUITES, suite_scale
-from repro.core.sampler import MEGsim, MEGsimOptions
+from repro.core.sampler import MEGsimOptions
 from repro.errors import ConfigError
 from repro.obs import (
     Collector,
@@ -69,14 +69,10 @@ from repro.obs import (
     wall_clock,
     write_metrics,
 )
-from repro.parallel import (
-    JOBS_ENV_VAR,
-    ParallelConfig,
-    profile_parallel,
-    resolve_jobs,
-)
+from repro.parallel import JOBS_ENV_VAR, ParallelConfig, resolve_jobs
+from repro.pipeline import PipelineRequest, materialize_stage
 from repro.store import get_store, memory_store, store_scope
-from repro.workloads.benchmarks import benchmark_aliases, make_benchmark
+from repro.workloads.benchmarks import benchmark_aliases
 from repro.workloads.registry import (
     BUILTIN_WORKLOADS,
     get_workload,
@@ -180,7 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "list'); alternative to --workload")
     _add_scale(plan)
     _add_workload(plan, "workload to plan")
-    _add_jobs(plan)
     _add_store(plan)
     _add_obs(plan)
 
@@ -215,7 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     export.add_argument("--out", required=True,
                         help="capture output path (JSONL)")
     _add_scale(export)
-    _add_store(export)
     _add_obs(export)
 
     figures = commands.add_parser(
@@ -227,19 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
     figures.add_argument("--outdir", default=".",
                          help="directory for fig5.pgm / fig6.ppm")
     _add_scale(figures)
-    _add_jobs(figures)
     _add_store(figures)
     _add_obs(figures)
-
-    trace = commands.add_parser(
-        "trace", help="generate a benchmark trace and write it to a file"
-    )
-    trace.add_argument("benchmark", choices=benchmark_aliases())
-    trace.add_argument("--out", required=True,
-                       help="output path (.npz binary or .json)")
-    _add_scale(trace)
-    _add_store(trace)
-    _add_obs(trace)
 
     bench = commands.add_parser(
         "bench", help="run a benchmark suite -> BENCH_<suite>.json"
@@ -611,11 +594,10 @@ def _run_command(args: argparse.Namespace) -> int:
 
     if args.command == "plan":
         key = _require_workload_key(args, "plan")
-        trace = get_workload(key).build(scale=args.scale)
-        profile = profile_parallel(
-            trace, parallel=ParallelConfig.from_cli(args.jobs)
+        plan = materialize_stage(
+            PipelineRequest.create(key, scale=args.scale), "plan",
+            store=get_store(),
         )
-        plan = MEGsim().plan_from_profile(profile)
         print(
             f"{key}: {plan.total_frames} frames -> "
             f"{plan.selected_frame_count} representatives "
@@ -633,21 +615,7 @@ def _run_command(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "figures":
-        _figures(
-            args.benchmark, args.frames, args.scale, args.outdir,
-            jobs=args.jobs,
-        )
-        return 0
-
-    if args.command == "trace":
-        workload = make_benchmark(args.benchmark, scale=args.scale)
-        if args.out.endswith(".json"):
-            workload.save(args.out)
-        else:
-            from repro.scene.binary_io import save_trace_npz
-
-            save_trace_npz(workload, args.out)
-        print(f"wrote {workload.frame_count}-frame trace to {args.out}")
+        _figures(args.benchmark, args.frames, args.scale, args.outdir)
         return 0
 
     return 1  # unreachable: argparse enforces the command set
@@ -851,7 +819,7 @@ def _inspect(alias: str, scale: float) -> None:
 
     evaluation = evaluate_benchmark(alias, scale=scale)
     totals = evaluation.totals
-    frames = evaluation.trace.frame_count
+    frames = evaluation.plan.total_frames
     geometry, raster, tiling = totals.power_fractions()
     print(f"{alias}: {frames} frames, {totals.cycles:.3e} cycles "
           f"({totals.cycles / frames / 1e6:.2f}M/frame), IPC {totals.ipc:.2f}")
@@ -881,33 +849,24 @@ def _inspect(alias: str, scale: float) -> None:
                       for m, e in evaluation.relative_errors().items()))
 
 
-def _figures(
-    alias: str, frames: int, scale: float, outdir: str,
-    jobs: str | int | None = None,
-) -> None:
+def _figures(alias: str, frames: int, scale: float, outdir: str) -> None:
     """Write Figure 5/6 images for one benchmark."""
-    from pathlib import Path
-
+    from repro.analysis.experiments import fig5_similarity, fig6_clusters
     from repro.analysis.images import cluster_image, similarity_image
-    from repro.core.cluster_search import search_clustering
-    from repro.core.features import build_feature_matrix
-    from repro.core.similarity import similarity_matrix
 
-    trace = make_benchmark(alias, scale=scale)
-    profile = profile_parallel(trace, parallel=ParallelConfig.from_cli(jobs))
-    features, _ = build_feature_matrix(profile)
-    frames = min(frames, features.shape[0])
-    distances = similarity_matrix(features[:frames], upper_only=False)
-    search = search_clustering(features[:frames], restarts=3)
+    fig5 = fig5_similarity(alias, frames=frames, scale=scale)
+    fig6 = fig6_clusters(alias, frames=frames, scale=scale)
+    distances = fig5.data["distances"]
+    analysed = fig5.data["frames"]
 
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    fig5 = out / f"fig5_{alias}.pgm"
-    fig6 = out / f"fig6_{alias}.ppm"
-    similarity_image(distances, fig5)
-    cluster_image(distances, search.clustering.labels, fig6)
-    print(f"wrote {fig5} ({frames}x{frames}, dark = similar)")
-    print(f"wrote {fig6} (k={search.chosen_k} clusters along the diagonal)")
+    fig5_path = out / f"fig5_{alias}.pgm"
+    fig6_path = out / f"fig6_{alias}.ppm"
+    similarity_image(distances, fig5_path)
+    cluster_image(distances, fig6.data["labels"], fig6_path)
+    print(f"wrote {fig5_path} ({analysed}x{analysed}, dark = similar)")
+    print(f"wrote {fig6_path} (k={fig6.data['k']} clusters along the diagonal)")
 
 
 if __name__ == "__main__":

@@ -136,10 +136,9 @@ class SamplingPlan:
         """JSON-serializable representation (clusters + search record).
 
         With ``include_features`` the N x D feature matrix is persisted
-        too (as nested lists); the artifact store uses this so ablation
-        and clustering-quality experiments behave identically on a
-        store-hit plan and a freshly computed one.  The default stays
-        lean for hand-managed ``save``/``load`` files.
+        too (as nested lists); the plan stage's store codec uses this so
+        ablation and clustering-quality experiments behave identically
+        on a store-hit plan and a freshly computed one.
         """
         payload = self._to_dict_base()
         if include_features:
@@ -220,21 +219,6 @@ class SamplingPlan:
             search=search,
             features=features,
         )
-
-    def save(self, path) -> None:
-        """Write the plan as JSON to ``path``."""
-        import json
-        from pathlib import Path
-
-        Path(path).write_text(json.dumps(self.to_dict()))
-
-    @classmethod
-    def load(cls, path) -> "SamplingPlan":
-        """Read a plan previously written by :meth:`save`."""
-        import json
-        from pathlib import Path
-
-        return cls.from_dict(json.loads(Path(path).read_text()))
 
 
 class MEGsim:

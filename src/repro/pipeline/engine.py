@@ -1,18 +1,20 @@
 """Stage execution against the artifact store.
 
-:func:`run_pipeline` walks :data:`~repro.pipeline.stages.STAGES` in
-order, trying the store before computing: a stage whose fingerprint is
-already present — put there by an earlier call, another process, or a
-:mod:`repro.parallel` worker — is decoded instead of recomputed.  Each
-stage runs under a ``pipeline.<name>`` span and reports
-``pipeline.hits.<name>`` / ``pipeline.computed.<name>`` counters, so a
-trace shows exactly which work a warm store absorbed.
+:func:`materialize_stage` is the one executor: it produces one stage's
+artifact, trying the store before computing and recursing into upstream
+stages only on a miss.  A stage whose fingerprint is already present —
+put there by an earlier call, another process, or a service worker — is
+decoded instead of recomputed, so a warm store never touches the stages
+upstream of a hit.  Each stage runs under a ``pipeline.<name>`` span
+and reports ``pipeline.hits.<name>`` / ``pipeline.computed.<name>``
+counters, so a trace shows exactly which work a warm store absorbed.
 
-:func:`materialize_stage` is the single-stage counterpart used by the
-experiment service (:mod:`repro.service`): it produces exactly one
-stage's artifact, recursing into upstream stages only on store misses —
-the primitive that lets one evaluation be sharded into six
-fingerprint-keyed jobs executed by independent workers sharing a store.
+:func:`run_pipeline` pulls every stored stage through that executor,
+sharing one artifact dict, so a derived stage (the trace) is computed at
+most once per call and not at all when its consumers all hit.  The
+experiment service (:mod:`repro.service`) calls :func:`materialize_stage`
+once per job, which lets one evaluation be sharded into fingerprint-keyed
+jobs executed by independent workers sharing a store.
 """
 
 from __future__ import annotations
@@ -25,13 +27,15 @@ from repro.pipeline.request import PipelineRequest
 from repro.pipeline.stages import STAGES, stage_fingerprints
 from repro.store import ArtifactStore
 
+_BY_NAME = {stage.name: stage for stage in STAGES}
+
 
 def run_pipeline(
     request: PipelineRequest,
     store: ArtifactStore | None = None,
     fingerprints: dict[str, str] | None = None,
 ) -> dict[str, Any]:
-    """Produce every stage artifact for ``request``.
+    """Produce every stored stage artifact for ``request``.
 
     Args:
         request: the resolved evaluation inputs.
@@ -41,29 +45,19 @@ def run_pipeline(
             avoid hashing twice when the caller already has it.
 
     Returns:
-        ``stage name -> artifact`` for all six stages.
+        ``stage name -> artifact`` for the five stored stages (the
+        derived trace is not returned; materialize it explicitly).
     """
     fps = fingerprints if fingerprints is not None else stage_fingerprints(request)
     artifacts: dict[str, Any] = {}
-    for stage in STAGES:
-        fp = fps[stage.name]
-        with span(
-            f"pipeline.{stage.name}",
-            benchmark=request.alias,
-            fingerprint=fp[:12],
-        ):
-            obj = None
-            if store is not None and stage.persist:
-                obj = store.get(stage.kind, fp, decode=stage.decode)
-            if obj is None:
-                obj = stage.compute(request, artifacts)
-                counter(f"pipeline.computed.{stage.name}")
-                if store is not None and stage.persist:
-                    store.put(stage.kind, fp, obj, encode=stage.encode)
-            else:
-                counter(f"pipeline.hits.{stage.name}")
-        artifacts[stage.name] = obj
-    return artifacts
+    return {
+        stage.name: materialize_stage(
+            request, stage.name, store=store, fingerprints=fps,
+            _artifacts=artifacts,
+        )
+        for stage in STAGES
+        if stage.stored
+    }
 
 
 def materialize_stage(
@@ -75,15 +69,12 @@ def materialize_stage(
 ) -> Any:
     """Produce exactly one stage's artifact, recursing only on misses.
 
-    The store is consulted first; a hit decodes and returns without
-    touching any upstream stage.  On a miss the required upstream
-    artifacts are materialized the same way (recursively), the stage is
-    computed, and the result is persisted.  Counters and spans match
-    :func:`run_pipeline` (``pipeline.hits.<name>`` /
-    ``pipeline.computed.<name>`` under a ``pipeline.<name>`` span), so
-    sharded execution reports the same work totals as monolithic
-    execution — recursively materialized upstreams nest under the
-    requesting stage's span instead of appearing as siblings.
+    The store is consulted first; a hit returns without touching any
+    upstream stage.  On a miss the required upstream artifacts are
+    materialized the same way (recursively), the stage is computed, and
+    the result is put back — to both tiers for a stored stage, to the
+    memory tier only for a derived one.  Recursively materialized
+    upstreams nest under the requesting stage's ``pipeline.<name>`` span.
 
     Args:
         request: the resolved evaluation inputs.
@@ -97,13 +88,12 @@ def materialize_stage(
     Raises:
         ConfigError: on an unknown stage name.
     """
-    by_name = {stage.name: stage for stage in STAGES}
-    if name not in by_name:
+    if name not in _BY_NAME:
         raise ConfigError(
             f"unknown pipeline stage {name!r}; expected one of "
-            f"{', '.join(by_name)}"
+            f"{', '.join(_BY_NAME)}"
         )
-    stage = by_name[name]
+    stage = _BY_NAME[name]
     fps = fingerprints if fingerprints is not None else stage_fingerprints(request)
     artifacts = _artifacts if _artifacts is not None else {}
     if name in artifacts:
@@ -113,7 +103,7 @@ def materialize_stage(
         f"pipeline.{name}", benchmark=request.alias, fingerprint=fp[:12]
     ):
         obj = None
-        if store is not None and stage.persist:
+        if store is not None:
             obj = store.get(stage.kind, fp, decode=stage.decode)
         if obj is None:
             for upstream in stage.requires:
@@ -123,7 +113,7 @@ def materialize_stage(
                 )
             obj = stage.compute(request, artifacts)
             counter(f"pipeline.computed.{name}")
-            if store is not None and stage.persist:
+            if store is not None:
                 store.put(stage.kind, fp, obj, encode=stage.encode)
         else:
             counter(f"pipeline.hits.{name}")

@@ -12,6 +12,12 @@ six stages, in dependency order::
       └─────────────────┘                                              │
                                       (plan) ──────────────────────────┘
 
+A stage's codec decides where its artifact lives: the five stages with
+``encode``/``decode`` hooks are written to the store's disk tier, while
+the trace has none — it is derived, kept in the memory tier only and
+regenerated from ``(workload, scale)`` whenever a downstream stage
+misses.
+
 Fingerprints are content addresses over *inputs*, computed without
 running anything: a stage's fingerprint hashes its name, its schema
 ``version``, the package version, its request parameters and the
@@ -49,22 +55,28 @@ class Stage:
             serialized layout changes incompatibly — old artifacts then
             stop matching by fingerprint instead of being misread.
         requires: names of the upstream stages ``compute`` consumes.
-        persist: whether the artifact is written to the disk tier.
         params: request parameters folded into the fingerprint.
         compute: produce the artifact from the request and the upstream
             artifacts (a ``name -> artifact`` mapping).
-        encode / decode: store serialization hooks.
+        encode / decode: store serialization hooks.  They also decide
+            disk residency: a stage whose hooks are ``None`` is derived
+            — kept in the store's memory tier only and recomputed from
+            its inputs whenever a fresh process needs it.
     """
 
     name: str
     kind: str
     version: int
     requires: tuple[str, ...]
-    persist: bool
     params: Callable[[PipelineRequest], dict]
     compute: Callable[[PipelineRequest, dict[str, Any]], Any]
     encode: Callable[[Any], dict] | None
     decode: Callable[[dict], Any] | None
+
+    @property
+    def stored(self) -> bool:
+        """Whether the artifact goes to the disk tier (it has a codec)."""
+        return self.encode is not None
 
 
 def _compute_trace(request: PipelineRequest, artifacts: dict) -> WorkloadTrace:
@@ -129,18 +141,19 @@ STAGES: tuple[Stage, ...] = (
         kind="trace",
         version=1,
         requires=(),
-        persist=True,
         params=_trace_params,
         compute=_compute_trace,
-        encode=lambda trace: trace.to_dict(),
-        decode=WorkloadTrace.from_dict,
+        # Derived, never stored: a synthetic trace is a pure function of
+        # (workload, scale) and a replay is re-read from its capture, so
+        # regenerating is cheaper than storing, reading and decoding.
+        encode=None,
+        decode=None,
     ),
     Stage(
         name="profile",
         kind="profile",
         version=1,
         requires=("trace",),
-        persist=True,
         params=lambda request: {"config": request.config},
         compute=_compute_profile,
         encode=lambda profile: profile.to_dict(),
@@ -153,7 +166,6 @@ STAGES: tuple[Stage, ...] = (
         # saturation/plateau stopping) — plans are not comparable to v1's.
         version=2,
         requires=("profile",),
-        persist=True,
         params=lambda request: {"options": request.options},
         compute=_compute_plan,
         encode=lambda plan: plan.to_dict(include_features=True),
@@ -164,7 +176,6 @@ STAGES: tuple[Stage, ...] = (
         kind="ground_truth",
         version=1,
         requires=("trace",),
-        persist=True,
         params=lambda request: {"config": request.config},
         compute=_compute_ground_truth,
         encode=lambda result: result.to_dict(),
@@ -175,7 +186,6 @@ STAGES: tuple[Stage, ...] = (
         kind="representatives",
         version=1,
         requires=("trace", "plan"),
-        persist=True,
         params=lambda request: {"config": request.config},
         compute=_compute_representatives,
         encode=lambda result: result.to_dict(),
@@ -186,7 +196,6 @@ STAGES: tuple[Stage, ...] = (
         kind="estimate",
         version=1,
         requires=("plan", "representatives"),
-        persist=True,
         params=lambda request: {},
         compute=_compute_estimate,
         encode=lambda stats: stats.to_dict(),

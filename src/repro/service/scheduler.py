@@ -1,10 +1,13 @@
-"""Request expansion: one evaluation becomes six fingerprint-keyed jobs.
+"""Request expansion: one evaluation becomes five fingerprint-keyed jobs.
 
 The scheduler half of the fuzzbench-style scheduler/dispatcher split
 (:mod:`repro.service.daemon` is the dispatcher): :func:`expand_request`
 walks the pipeline's stage graph, computes every stage's input-cone
 fingerprint *without running anything*, and records one job row per
-fingerprint — deduplicating three ways before any work is enqueued:
+stored stage — the derived trace gets no job: a worker whose stage
+misses regenerates it inside :func:`~repro.pipeline.materialize_stage`,
+and that worker's memory tier keeps it for its later jobs.  Jobs are
+deduplicated three ways before any work is enqueued:
 
 * **already-done** — a job row with this fingerprint is already ``done``
   (an earlier request computed it): linked, not re-run
@@ -18,8 +21,10 @@ fingerprint — deduplicating three ways before any work is enqueued:
   (``service.jobs.deduped.store``).
 
 Everything else becomes a ``pending`` job (``service.jobs.created``)
-whose ``deps_json`` lists its upstream fingerprints — the readiness
-relation :meth:`~repro.service.db.ResultsDB.ready_jobs` evaluates.
+whose ``deps_json`` lists its stored upstream fingerprints — the
+readiness relation :meth:`~repro.service.db.ResultsDB.ready_jobs`
+evaluates.  The profile and ground-truth jobs, whose only upstream is the
+trace, are ready at once.
 """
 
 from __future__ import annotations
@@ -60,14 +65,17 @@ def expand_request(
             skips the store-dedup pass.
 
     Returns:
-        ``stage name -> job id`` for all six stages.
+        ``stage name -> job id`` for the five stored stages.
     """
     fps = stage_fingerprints(request)
+    stored = {stage.name for stage in STAGES if stage.stored}
     jobs: dict[str, int] = {}
     with span(
         "service.schedule", benchmark=request.alias, request_id=request_id
     ):
         for stage in STAGES:
+            if not stage.stored:
+                continue
             fp = fps[stage.name]
             existing = db.job_by_fingerprint(fp)
             if existing is not None:
@@ -90,7 +98,7 @@ def expand_request(
                     else "service.jobs.deduped.done"
                 )
             else:
-                deps = [fps[name] for name in stage.requires]
+                deps = [fps[name] for name in stage.requires if name in stored]
                 job_id, created = db.upsert_job(fp, stage.name, deps=deps)
                 counter(
                     "service.jobs.created" if created

@@ -17,8 +17,8 @@ def evaluation():
 class TestEvaluation:
     def test_components_consistent(self, evaluation):
         assert evaluation.alias == "hcr"
-        assert evaluation.trace.frame_count == evaluation.profile.frame_count
-        assert evaluation.plan.total_frames == evaluation.trace.frame_count
+        assert evaluation.plan.total_frames == evaluation.profile.frame_count
+        assert len(evaluation.full.frame_ids) == evaluation.plan.total_frames
 
     def test_representatives_simulated(self, evaluation):
         assert evaluation.representatives.frame_ids == (

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.obs import collecting
+from repro.store import STORE_ENV_VAR, get_store, set_store
 
 
 class TestParser:
@@ -48,26 +50,93 @@ class TestCommands:
         assert "MEGsim" in out
 
     def test_figures(self, capsys, tmp_path):
+        from repro.analysis.experiments import fig6_clusters
+
         assert main([
             "figures", "hcr", "--frames", "40", "--scale", "0.02",
             "--outdir", str(tmp_path),
         ]) == 0
         assert (tmp_path / "fig5_hcr.pgm").exists()
         assert (tmp_path / "fig6_hcr.ppm").exists()
+        out = capsys.readouterr().out
+        fig6 = fig6_clusters("hcr", frames=40, scale=0.02)
+        assert "(40x40, dark = similar)" in out
+        assert f"(k={fig6.data['k']} clusters along the diagonal)" in out
 
-    def test_trace_npz(self, capsys, tmp_path):
-        out = tmp_path / "t.npz"
-        assert main(["trace", "hcr", "--scale", "0.02", "--out", str(out)]) == 0
-        from repro.scene.binary_io import load_trace_npz
 
-        assert load_trace_npz(out).name == "hcr"
+class TestFramesValidation:
+    """``--frames`` below 1 is rejected before any work, by the function
+    both ``megsim figures`` and the fig5/fig6 experiments pass through."""
 
-    def test_trace_json(self, capsys, tmp_path):
-        out = tmp_path / "t.json"
-        assert main(["trace", "hcr", "--scale", "0.02", "--out", str(out)]) == 0
-        from repro.scene.trace import WorkloadTrace
+    @pytest.mark.parametrize("frames", ["0", "-5"])
+    def test_figures_rejects_non_positive_frames(self, frames, tmp_path):
+        from repro.errors import ConfigError
 
-        assert WorkloadTrace.load(out).name == "hcr"
+        with collecting() as collector:
+            with pytest.raises(ConfigError, match="--frames"):
+                main([
+                    "figures", "hcr", "--frames", frames, "--scale", "0.05",
+                    "--outdir", str(tmp_path),
+                ])
+        assert not list(tmp_path.iterdir())
+        assert not any(
+            name.startswith("pipeline.") for name in collector.counters
+        )
+
+    @pytest.mark.parametrize("experiment", ["fig5_similarity", "fig6_clusters"])
+    def test_experiments_reject_non_positive_frames(self, experiment):
+        from repro.analysis import experiments
+        from repro.errors import ConfigError
+
+        with pytest.raises(ConfigError, match="--frames"):
+            getattr(experiments, experiment)("hcr", frames=0, scale=0.05)
+
+
+class TestCommandsUseTheStore:
+    """``plan`` and ``figures`` read their stages through the active store."""
+
+    @pytest.fixture
+    def store_root(self, tmp_path, monkeypatch):
+        root = tmp_path / "store"
+        monkeypatch.setenv(STORE_ENV_VAR, str(root))
+        set_store(None)
+        yield root
+        set_store(None)
+
+    def test_plan_hits_the_store_on_a_second_run(self, capsys, store_root):
+        assert main(["plan", "hcr", "--scale", "0.05"]) == 0
+        first = capsys.readouterr().out
+        set_store(None)  # a fresh process: only the disk tier remains
+        with collecting() as collector:
+            assert main(["plan", "hcr", "--scale", "0.05"]) == 0
+        assert capsys.readouterr().out == first
+        assert collector.counters["pipeline.hits.plan"] == 1
+        assert not any(
+            name.startswith("pipeline.computed.")
+            for name in collector.counters
+        )
+
+    def test_plan_no_store_leaves_the_store_empty(self, capsys, store_root):
+        assert main(["plan", "hcr", "--scale", "0.05", "--no-store"]) == 0
+        assert "representatives" in capsys.readouterr().out
+        assert not store_root.exists() or not any(store_root.rglob("*.json"))
+        # Without the flag the same command does write to the store.
+        assert main(["plan", "hcr", "--scale", "0.05"]) == 0
+        assert "plan" in get_store().stats()["disk"]["kinds"]
+
+    def test_figures_reads_only_the_profile(self, capsys, store_root, tmp_path):
+        with collecting() as collector:
+            assert main([
+                "figures", "hcr", "--frames", "40", "--scale", "0.05",
+                "--outdir", str(tmp_path / "out"),
+            ]) == 0
+        assert get_store().stats()["disk"]["kinds"].keys() == {"profile"}
+        assert "pipeline.computed.ground_truth" not in collector.counters
+
+    def test_jobs_flag_is_gone_from_serial_commands(self):
+        for command in (["plan", "hcr"], ["figures", "hcr"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(command + ["--jobs", "2"])
 
 
 @pytest.fixture

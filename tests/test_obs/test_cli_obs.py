@@ -69,14 +69,17 @@ class TestTraceFlag:
         assert read_events(trace_file)
 
     def test_plan_command_traces_pipeline_spans(self, capsys, tmp_path):
+        # --no-store: a cold store, so the plan is computed, not a hit.
         trace_file = tmp_path / "plan.jsonl"
         assert cli.main([
-            "plan", "hcr", "--scale", "0.02", "--trace", str(trace_file),
+            "plan", "hcr", "--scale", "0.02", "--no-store",
+            "--trace", str(trace_file),
         ]) == 0
         names = {
             e["name"] for e in read_events(trace_file)
             if e["type"] == "span_start"
         }
-        assert {"cli.plan", "functional.profile", "megsim.plan",
+        assert {"cli.plan", "pipeline.plan", "pipeline.profile",
+                "pipeline.trace", "functional.profile", "megsim.plan",
                 "cluster.search"} <= names
 

@@ -17,6 +17,9 @@ from repro.store import ArtifactStore, store_scope
 
 SCALE = 0.02
 
+#: The stages written to the disk tier (the derived trace is not).
+STORED = [stage for stage in STAGES if stage.stored]
+
 
 def _evaluate(alias: str) -> BenchmarkEvaluation:
     return evaluate_benchmark(alias, scale=SCALE)
@@ -51,9 +54,23 @@ def test_store_hit_reproduces_cold_computation(alias, tmp_path):
     assert warm is not cold
     _assert_numerically_identical(cold, warm)
     counters = dict(collector.counters)
-    for stage in STAGES:
+    for stage in STORED:
         assert f"pipeline.hits.{stage.name}" in counters
         assert f"pipeline.computed.{stage.name}" not in counters
+    # Every consumer hit, so the derived trace was never materialized.
+    assert "pipeline.hits.trace" not in counters
+    assert "pipeline.computed.trace" not in counters
+
+
+def test_cold_evaluation_writes_no_trace_to_disk(tmp_path):
+    store = ArtifactStore(tmp_path / "store")
+    with store_scope(store):
+        _evaluate("hcr")
+    assert set(store.stats()["disk"]["kinds"]) == {
+        "profile", "plan", "ground_truth", "representatives", "estimate"
+    }
+    fp = stage_fingerprints(PipelineRequest.create("hcr", scale=SCALE))["trace"]
+    assert not store.disk.path("trace", fp).parent.parent.exists()
 
 
 def test_warm_store_does_zero_simulation_work(tmp_path):
@@ -70,7 +87,9 @@ def test_warm_store_does_zero_simulation_work(tmp_path):
     assert "cycle.warmup_frames" not in counters
     assert "functional.frames_profiled" not in counters
     assert not any(name.startswith("pipeline.computed.") for name in counters)
-    assert counters["store.hits.disk"] >= len(STAGES)
+    # Not even the trace: every stage it feeds hit, so none was generated.
+    assert "workload.generate" not in {span.name for span in collector.spans}
+    assert counters["store.hits.disk"] == len(STORED)
 
 
 def test_memory_tier_hit_returns_identical_object(tmp_path):
@@ -113,8 +132,12 @@ def test_corrupted_artifact_is_recomputed_not_trusted(tmp_path):
     counters = dict(collector.counters)
     assert counters["store.corrupt"] == 1
     assert counters["pipeline.computed.ground_truth"] == 1
-    # Only the damaged stage was redone; its inputs still hit.
-    assert counters["pipeline.hits.trace"] == 1
+    # Only the damaged stage was redone: its derived input, the trace,
+    # was regenerated (it is never stored), and every other stage hit.
+    assert counters["pipeline.computed.trace"] == 1
+    for name in ("profile", "plan", "representatives", "estimate"):
+        assert counters[f"pipeline.hits.{name}"] == 1
+        assert f"pipeline.computed.{name}" not in counters
     assert counters["cycle.frames_simulated"] > 0
     # The recomputed ground truth re-measures its own wall clock, so
     # time_speedup is the one value allowed to differ.

@@ -32,6 +32,15 @@ class TestGraph:
             "estimate",
         ]
 
+    def test_only_the_trace_lives_in_memory_alone(self):
+        """Disk residency is the codec: the trace has none, every other
+        stage has both hooks."""
+        for stage in STAGES:
+            derived = stage.name == "trace"
+            assert stage.stored is not derived
+            assert (stage.encode is None) is derived
+            assert (stage.decode is None) is derived
+
     def test_duplicate_names_rejected(self):
         twice = STAGES + (STAGES[0],)
         with pytest.raises(ConfigError):
@@ -43,7 +52,27 @@ class TestGraph:
             validate_stages(backwards)
 
 
+#: Stage addresses of hcr at scale 0.05 with the paper defaults.  A
+#: change here re-keys every stored artifact: a store written before it
+#: would stop serving hits.
+PINNED_HCR_005 = {
+    "trace": "8f6333c2c419a73d320aa4606aa0aead93b3bde9bd10d7685e824194a22a1c1f",
+    "profile": "37dbf977894262707d73ac0bc0bbeee2164912308fb7a2d8bf35c656716bfd5c",
+    "plan": "e3ddf3f345c89eddf2ccffe44c28669f1a9ff9378a5bd456307185d7478f3b7b",
+    "ground_truth":
+        "184bd004c409e477405f2aed465a9f8121360b3a29f95c1ad0e275cd04579c66",
+    "representatives":
+        "0cc8796be6b8e393451662386fe7194e3b13ee11c315997004c0cd0b330b0597",
+    "estimate":
+        "74ef2bed03c9b28bece04f25755daaef7f7ee7b3e71f495c9256a77d1df97a03",
+}
+
+
 class TestFingerprints:
+    def test_pinned_addresses(self):
+        request = PipelineRequest.create("hcr", scale=0.05)
+        assert stage_fingerprints(request) == PINNED_HCR_005
+
     def test_every_stage_gets_a_distinct_digest(self):
         fps = stage_fingerprints(REQUEST)
         assert set(fps) == {s.name for s in STAGES}

@@ -118,10 +118,17 @@ class TestSerialization:
         assert restored.opaque == original.opaque
 
     def test_round_trip_file(self, tiny_trace, tmp_path):
-        path = tmp_path / "trace.json"
-        tiny_trace.save(path)
-        rebuilt = WorkloadTrace.load(path)
+        """The one trace file format: a megsim-workload v1 capture."""
+        from repro.workloads.replay import (
+            export_workload_file,
+            load_workload_file,
+        )
+
+        path = tmp_path / "trace.jsonl"
+        export_workload_file(tiny_trace, path)
+        rebuilt = load_workload_file(path).trace
         assert rebuilt.frame_count == tiny_trace.frame_count
+        assert rebuilt.to_dict() == tiny_trace.to_dict()
 
     def test_malformed_payload(self):
         with pytest.raises(TraceError):

@@ -28,6 +28,10 @@ from repro.store import ArtifactStore, store_scope
 ALIAS = "bbr1"
 SCALE = 0.02
 
+#: The stages the service makes jobs for: every one with a disk codec
+#: (the derived trace has none).
+STORED = [stage for stage in STAGES if stage.stored]
+
 
 @pytest.fixture
 def store(tmp_path):
@@ -57,10 +61,10 @@ def test_serve_once_completes_a_submission(store, db_path):
 
     assert summary["requests"]["completed"] == 1
     assert summary["requests"]["failed"] == 0
-    assert summary["jobs"]["done"] == len(STAGES)
+    assert summary["jobs"]["done"] == len(STORED)
     assert summary["results"] == 1
-    assert collector.counters["service.jobs.created"] == len(STAGES)
-    assert collector.counters["service.jobs.executed"] == len(STAGES)
+    assert collector.counters["service.jobs.created"] == len(STORED)
+    assert collector.counters["service.jobs.executed"] == len(STORED)
     for stage in STAGES:
         assert collector.counters[f"pipeline.computed.{stage.name}"] >= 1
 
@@ -101,9 +105,9 @@ def test_resubmission_is_fully_deduped(store, db_path):
         second = _submit(db_path)
         serve(db_path, once=True)
 
-    # Zero new stage work: no executions, no recomputations — the six
+    # Zero new stage work: no executions, no recomputations — the five
     # existing done jobs are linked to the new request as-is.
-    assert collector.counters["service.jobs.deduped.done"] == len(STAGES)
+    assert collector.counters["service.jobs.deduped.done"] == len(STORED)
     assert "service.jobs.executed" not in collector.counters
     assert "service.jobs.created" not in collector.counters
     assert not any(
@@ -111,7 +115,7 @@ def test_resubmission_is_fully_deduped(store, db_path):
     )
 
     with ResultsDB(db_path) as db:
-        assert db.counts()["jobs"]["done"] == len(STAGES)
+        assert db.counts()["jobs"]["done"] == len(STORED)
         assert db.result(second[0]) == db.result(first[0])
 
 
@@ -124,7 +128,7 @@ def test_artifacts_from_direct_runs_dedupe_into_the_service(store, db_path):
     with collecting() as collector:
         serve(db_path, once=True)
 
-    assert collector.counters["service.jobs.deduped.store"] == len(STAGES)
+    assert collector.counters["service.jobs.deduped.store"] == len(STORED)
     assert "service.jobs.executed" not in collector.counters
     assert not any(
         name.startswith("pipeline.computed.") for name in collector.counters
@@ -138,6 +142,33 @@ def test_artifacts_from_direct_runs_dedupe_into_the_service(store, db_path):
     assert sources == {"store"}
 
 
+def test_worker_regenerates_the_trace_the_store_never_holds(store, db_path):
+    """A store holding the profile and ground truth but no trace (none is
+    ever stored) serves a request: the first job that misses regenerates
+    the trace in its worker, and the estimate equals the direct one."""
+    from repro.pipeline import materialize_stage
+
+    (request,) = build_requests([ALIAS], scale=SCALE)
+    materialize_stage(request, "profile", store=store)
+    materialize_stage(request, "ground_truth", store=store)
+    assert "trace" not in store.stats()["disk"]["kinds"]
+    store.clear_memory()
+
+    ids = _submit(db_path)
+    with collecting() as collector:
+        summary = serve(db_path, once=True)
+
+    assert summary["requests"]["completed"] == 1
+    assert collector.counters["service.jobs.deduped.store"] == 2
+    assert collector.counters["pipeline.computed.trace"] == 1
+    assert "pipeline.computed.profile" not in collector.counters
+    assert "pipeline.computed.ground_truth" not in collector.counters
+    direct = materialize_stage(request, "estimate", store=None)
+    with ResultsDB(db_path) as db:
+        served = db.result(ids[0])["estimates"]
+    assert served == {metric: getattr(direct, metric) for metric in served}
+
+
 def test_serve_with_worker_pool_matches_serial(store, db_path):
     """`--jobs 2` routes jobs through real pool processes (which write
     their own terminal states into the database) without changing the
@@ -146,7 +177,7 @@ def test_serve_with_worker_pool_matches_serial(store, db_path):
     summary = serve(db_path, once=True, parallel=ParallelConfig(jobs=2))
 
     assert summary["requests"]["completed"] == 1
-    assert summary["jobs"]["done"] == len(STAGES)
+    assert summary["jobs"]["done"] == len(STORED)
     with ResultsDB(db_path) as db:
         result = db.result(ids[0])
     direct = evaluate_benchmark(ALIAS, scale=SCALE, use_cache=False)
@@ -209,7 +240,7 @@ def test_serve_persists_request_traces(store, db_path):
     assert artifact["meta"]["request_id"] == ids[0]
     names = sorted(root.name for root in artifact["roots"])
     assert names == sorted(
-        ["service.schedule"] + [f"service.job.{s.name}" for s in STAGES]
+        ["service.schedule"] + [f"service.job.{s.name}" for s in STORED]
     )
     for root in artifact["roots"]:
         if root.name == "service.schedule":
@@ -232,7 +263,7 @@ def test_job_spans_carry_the_request_trace_id(store, db_path):
         record for record in collector.spans
         if record.name.startswith("service.job.")
     ]
-    assert len(job_spans) == len(STAGES)
+    assert len(job_spans) == len(STORED)
     for record in job_spans:
         assert record.attrs["trace_id"] == trace_id
         assert record.attrs["request_id"] == ids[0]
